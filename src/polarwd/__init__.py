@@ -3,87 +3,44 @@
 from .codespec import (
     CodeSpec,
     FreezeConstraint,
-    Profile,
     dual_spec,
     from_bhattacharyya_bec,
-    from_frozen_set,
-    from_generator_matrix,
     from_rm,
     from_unfrozen_set,
     pac_spec,
     profile,
     spec_from_json,
-    spec_to_json,
 )
-from .coset import CosetCache, PolarCosetSpec, calc_a, even_odd_transform
-from .engine import (
-    BudgetExceeded,
-    CostEstimate,
-    Report,
-    estimate_cost,
-    wef_auto,
-    wef_direct,
-    wef_lta,
-)
+from .coset import CosetCache
+from .engine import estimate_cost, wef_auto, wef_direct, wef_lta
 from .monomials import (
     Monomial,
-    Order,
-    chain_decompose,
-    compare,
-    is_decreasing,
     max_mixing_factor,
     max_mixing_factor_rate_half,
     single_shift_le,
 )
-from .oracle import brute_force_coset_wef, brute_force_wef
-from .transform import (
-    bit_reversal_permutation,
-    encode,
-    generator_matrix,
-    index_to_monomial,
-    monomial_to_index,
-)
+from .oracle import brute_force_wef
 from .wef import WeightEnumerator, macwilliams
 
 __all__ = [
-    "BudgetExceeded",
     "CodeSpec",
     "CosetCache",
-    "CostEstimate",
     "FreezeConstraint",
     "Monomial",
-    "Order",
-    "PolarCosetSpec",
-    "Profile",
-    "Report",
     "WeightEnumerator",
-    "bit_reversal_permutation",
-    "brute_force_coset_wef",
     "brute_force_wef",
-    "calc_a",
-    "chain_decompose",
-    "compare",
     "dual_spec",
-    "encode",
     "estimate_cost",
-    "even_odd_transform",
     "from_bhattacharyya_bec",
-    "from_frozen_set",
-    "from_generator_matrix",
     "from_rm",
     "from_unfrozen_set",
-    "generator_matrix",
-    "index_to_monomial",
-    "is_decreasing",
     "macwilliams",
     "max_mixing_factor",
     "max_mixing_factor_rate_half",
-    "monomial_to_index",
     "pac_spec",
     "profile",
     "single_shift_le",
     "spec_from_json",
-    "spec_to_json",
     "wef_auto",
     "wef_direct",
     "wef_lta",

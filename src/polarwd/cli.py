@@ -15,8 +15,13 @@ import sys
 from typing import Optional
 
 from .codespec import CodeSpec, dual_spec, profile, spec_from_json, spec_to_json
-from .coset import CosetCache
-from .engine import DEFAULT_BUDGET, BudgetExceeded, estimate_cost, wef_auto
+from .engine import (
+    DEFAULT_BUDGET,
+    BudgetExceeded,
+    StrategyInadmissible,
+    estimate_cost,
+    wef_auto,
+)
 from .monomials import (
     Monomial,
     compare,
@@ -85,7 +90,6 @@ def _wef_payload(spec: CodeSpec, wef: WeightEnumerator, route: str, cosets: int)
 
 def _cmd_wef(args: argparse.Namespace) -> int:
     spec = _load_spec(args.spec)
-    cache = CosetCache() if args.cache else None
     progress = _progress_printer(args.progress)
     nthreads = args.threads if args.threads > 0 else (os.cpu_count() or 1)
     try:
@@ -95,19 +99,15 @@ def _cmd_wef(args: argparse.Namespace) -> int:
             allow_dual=args.allow_dual,
             budget=args.budget,
             threads=nthreads,
-            cache=cache,
             progress=progress,
         )
     except BudgetExceeded as exc:
         raise CliError("budget_exceeded", str(exc), EXIT_BUDGET) from exc
-    except ValueError as exc:
+    except StrategyInadmissible as exc:
         raise CliError("strategy_inadmissible", str(exc)) from exc
-    if wef.eval_at_one() != 1 << spec.k:
-        raise CliError(
-            "cardinality_mismatch",
-            f"enumerator sums to {wef.eval_at_one()}, expected 2^{spec.k}",
-            EXIT_INTERNAL,
-        )
+    except ValueError as exc:
+        # e.g. MacWilliams rejecting a dual enumerator the engine produced
+        raise CliError("internal_invariant", str(exc), EXIT_INTERNAL) from exc
     _emit(_wef_payload(spec, wef, report.route, report.cosets_evaluated), args.out)
     return EXIT_OK
 
@@ -209,10 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--threads", type=int, default=1, help="0 means all available")
     p.add_argument("--progress", action="store_true")
-    p.add_argument(
-        "--no-cache", dest="cache", action="store_false",
-        help="disable the shared sub-coset memo table",
-    )
     _add_out_arg(p)
     p.set_defaults(func=_cmd_wef)
 

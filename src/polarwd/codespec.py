@@ -14,7 +14,10 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .monomials import Monomial, is_decreasing
-from .transform import generator_matrix, index_to_monomial
+from .transform import generator_matrix
+
+# spec_from_json refuses larger m: the statuses alone would take 2^m objects.
+MAX_JSON_M = 16
 
 
 @dataclass(frozen=True)
@@ -46,11 +49,10 @@ class FreezeConstraint:
 
 @dataclass(frozen=True)
 class Profile:
-    """Red/blue split around the last frozen bit; gamma is the mixing factor."""
+    """The unfrozen (red) bits before the last frozen bit; gamma counts them."""
 
     s: Optional[int]
     red: tuple[int, ...]
-    blue: tuple[int, ...]
     gamma: int
 
 
@@ -93,7 +95,7 @@ class CodeSpec:
         return all(st is None or st.is_plain for st in self.statuses)
 
     def unfrozen_monomials(self) -> list[Monomial]:
-        return [index_to_monomial(i, self.m) for i in self.unfrozen]
+        return [Monomial.from_row_index(i, self.m) for i in self.unfrozen]
 
     def is_decreasing_code(self) -> bool:
         ok, _ = is_decreasing(self.unfrozen_monomials())
@@ -133,15 +135,14 @@ def from_unfrozen_set(m: int, unfrozen: Iterable[int], label: str = "") -> CodeS
 
 
 def profile(spec: CodeSpec) -> Profile:
-    """Last frozen index, the unfrozen bits on each side of it, and gamma."""
+    """Last frozen index, the unfrozen bits before it, and gamma."""
 
     frozen = spec.frozen
     if not frozen:
-        return Profile(None, (), tuple(spec.unfrozen), 0)
+        return Profile(None, (), 0)
     s = frozen[-1]
     red = tuple(i for i in spec.unfrozen if i < s)
-    blue = tuple(i for i in spec.unfrozen if i > s)
-    return Profile(s, red, blue, len(red))
+    return Profile(s, red, len(red))
 
 
 def from_rm(r: int, m: int) -> CodeSpec:
@@ -286,6 +287,13 @@ def dual_spec(spec: CodeSpec) -> CodeSpec:
     return from_unfrozen_set(spec.m, unfrozen, label)
 
 
+def _json_m(obj: dict) -> int:
+    m = int(obj["m"])
+    if m > MAX_JSON_M:
+        raise ValueError(f"m={m} exceeds the limit of {MAX_JSON_M}")
+    return m
+
+
 def spec_from_json(obj: dict) -> CodeSpec:
     """Build a spec from the JSON schema accepted by the CLI."""
 
@@ -293,17 +301,17 @@ def spec_from_json(obj: dict) -> CodeSpec:
         raise ValueError("spec JSON must be an object")
     construction = obj.get("construction")
     if construction == "rm":
-        return from_rm(int(obj["r"]), int(obj["m"]))
+        return from_rm(int(obj["r"]), _json_m(obj))
     if construction == "bec":
-        return from_bhattacharyya_bec(int(obj["m"]), int(obj["k"]), float(obj["erasure"]))
+        return from_bhattacharyya_bec(_json_m(obj), int(obj["k"]), float(obj["erasure"]))
     if construction == "pac":
-        return pac_spec(int(obj["m"]), [int(i) for i in obj["profile"]], obj["taps"])
+        return pac_spec(_json_m(obj), [int(i) for i in obj["profile"]], obj["taps"])
     if construction == "generator":
         return from_generator_matrix(obj["matrix"])
     if construction is not None:
         raise ValueError(f"unknown construction {construction!r}")
 
-    m = int(obj["m"])
+    m = _json_m(obj)
     n = 1 << m
     if "constraints" in obj:
         unfrozen = {int(i) for i in obj.get("unfrozen", [])}

@@ -8,33 +8,11 @@ subsequences of the original prefix; the base case at n=1 is (1, X).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .wef import WeightEnumerator
 
 WefPair = tuple[WeightEnumerator, WeightEnumerator]
-
-
-@dataclass(frozen=True)
-class PolarCosetSpec:
-    """Identifies the coset with prefix u_0..u_{i-1} and fixed bit u_i."""
-
-    n: int
-    prefix: tuple[int, ...]
-    last_bit: int
-
-    def __post_init__(self) -> None:
-        if self.n < 1 or self.n & (self.n - 1):
-            raise ValueError(f"block length {self.n} is not a power of two")
-        if len(self.prefix) >= self.n:
-            raise ValueError("prefix must be shorter than the block length")
-        if self.last_bit not in (0, 1):
-            raise ValueError("last bit must be 0 or 1")
-
-    @property
-    def size(self) -> int:
-        return 1 << (self.n - 1 - len(self.prefix))
 
 
 class CosetCache:
@@ -83,7 +61,8 @@ def calc_a(
     Implements the coset recursion directly: even positions combine the two
     half-length pairs cross-wise, odd positions select products according to
     the stripped last prefix bit.  Each returned polynomial sums to
-    2^{n-1-len(prefix)}.
+    2^{n-1-len(prefix)}.  Only the half-length and shorter sub-cosets go into
+    ``cache``: the engine never asks for the same full-length pair twice.
     """
 
     if n < 1 or n & (n - 1):
@@ -91,17 +70,25 @@ def calc_a(
     p = tuple(int(b) & 1 for b in prefix)
     if len(p) >= n:
         raise ValueError("prefix must be shorter than the block length")
-    return _calc(n, p, cache)
+    return _split(n, p, cache)
 
 
 def _calc(n: int, prefix: tuple[int, ...], cache: Optional[CosetCache]) -> WefPair:
+    if cache is None or n == 1:
+        return _split(n, prefix, cache)
+    key = (n, prefix)
+    result = cache.get(key)
+    if result is None:
+        result = _split(n, prefix, cache)
+        cache.put(key, result)
+    return result
+
+
+def _split(n: int, prefix: tuple[int, ...], cache: Optional[CosetCache]) -> WefPair:
+    """One recursion step: the pair at length n from two half-length pairs."""
+
     if n == 1:
         return WeightEnumerator.one(), WeightEnumerator.x()
-    key = (n, prefix)
-    if cache is not None:
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
     if len(prefix) % 2 == 0:
         xored, odd = even_odd_transform(prefix)
         f0, f1 = _calc(n // 2, xored, cache)
@@ -118,6 +105,4 @@ def _calc(n: int, prefix: tuple[int, ...], cache: Optional[CosetCache]) -> WefPa
             result = (f0 * g0, f1 * g1)
         else:
             result = (f1 * g0, f0 * g1)
-    if cache is not None:
-        cache.put(key, result)
     return result

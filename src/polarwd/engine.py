@@ -13,12 +13,11 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
-from .codespec import CodeSpec, Profile, dual_spec, profile
+from .codespec import CodeSpec, FreezeConstraint, Profile, dual_spec, profile
 from .coset import CosetCache, calc_a
-from .monomials import single_shift_le
-from .transform import index_to_monomial
+from .monomials import Monomial, single_shift_le
 from .wef import WeightEnumerator, macwilliams
 
 DEFAULT_BUDGET = 1 << 28
@@ -28,6 +27,10 @@ ProgressFn = Callable[[int, int], None]
 
 class BudgetExceeded(RuntimeError):
     """The requested computation needs more coset evaluations than allowed."""
+
+
+class StrategyInadmissible(ValueError):
+    """The requested strategy is unknown or cannot run on this spec."""
 
 
 @dataclass
@@ -58,28 +61,32 @@ class Report:
     cosets_evaluated: int
 
 
-def _lta_coset_count(spec: CodeSpec, prof: Profile) -> int:
-    """Sum over red rows f of 2^{lambda_f}, without running the recursion.
+def _orbits(m: int, red: Sequence[int]) -> list[tuple[int, tuple[int, ...], int]]:
+    """The reduced route's orbit split: (f, free rows, |S|) per peeled red row f.
 
-    lambda_f counts the red rows below f in the matrix (larger index) that are
-    not single-shift related to f; those stay free when f's orbit is evaluated.
-    The trailing 1 is the single coset left once every red row is peeled.
+    Red rows are peeled in index order.  With the rows peeled before f frozen
+    to 0 and f frozen to 1, the red rows below f that are single-shift related
+    to f form S: one coset with S frozen to 0 stands for 2^{|S|} of them.  The
+    other rows below f stay free.  Every peeled row lies below the last frozen
+    index, so that index never moves and one pass over ``red`` suffices.
     """
+
+    monos = [Monomial.from_row_index(i, m) for i in red]
+    orbits = []
+    for pos, f in enumerate(red):
+        below = range(pos + 1, len(red))
+        free = tuple(red[j] for j in below if not single_shift_le(monos[j], monos[pos]))
+        orbits.append((f, free, len(below) - len(free)))
+    return orbits
+
+
+def _lta_coset_count(spec: CodeSpec, prof: Profile) -> int:
+    """Cosets the reduced route evaluates: 2^{|free|} per orbit, plus the
+    all-zero coset left once every red row is peeled (none for rate one)."""
 
     if prof.s is None:
         return 0
-    red = prof.red
-    monos = {i: index_to_monomial(i, spec.m) for i in red}
-    total = 1
-    for pos, f_idx in enumerate(red):
-        f_mono = monos[f_idx]
-        lam = sum(
-            1
-            for g_idx in red[pos + 1 :]
-            if not single_shift_le(monos[g_idx], f_mono)
-        )
-        total += 1 << lam
-    return total
+    return 1 + sum(1 << len(free) for _, free, _ in _orbits(spec.m, prof.red))
 
 
 def estimate_cost(spec: CodeSpec) -> CostEstimate:
@@ -195,6 +202,17 @@ def wef_direct(
     return acc
 
 
+def _orbit_spec(spec: CodeSpec, red: Sequence[int], f: int, free: Sequence[int]) -> CodeSpec:
+    """``spec`` with f frozen to 1 and every other red row outside ``free`` to 0."""
+
+    statuses = list(spec.statuses)
+    keep = set(free)
+    for i in red:
+        if i not in keep:
+            statuses[i] = FreezeConstraint(i, constant=int(i == f))
+    return CodeSpec(spec.m, tuple(statuses), spec.label)
+
+
 def wef_lta(
     spec: CodeSpec,
     *,
@@ -206,73 +224,49 @@ def wef_lta(
 ) -> WeightEnumerator:
     """Reduced-complexity enumerator for plain decreasing monomial codes.
 
-    At each level the first unfrozen row f is frozen to 0 (the recursive
-    subcode), while the orbit with f frozen to 1 and the single-shift-related
-    red rows frozen to 0 is evaluated once and counted 2^{|S|} times.
+    Each orbit of ``_orbits`` is evaluated once on the direct route and
+    counted 2^{|S|} times; the all-zero coset completes the sum.  Raises
+    AssertionError if the cosets evaluated differ from the prediction.
     """
 
     if not spec.is_plain:
-        raise ValueError("the reduced route requires a plain spec")
-    ok = spec.is_decreasing_code()
-    if not ok:
-        raise ValueError("the reduced route requires a decreasing unfrozen set")
+        raise StrategyInadmissible("the reduced route requires a plain spec")
+    if not spec.is_decreasing_code():
+        raise StrategyInadmissible("the reduced route requires a decreasing unfrozen set")
+    prof = profile(spec)
+    if prof.s is None:
+        return WeightEnumerator.binomial(spec.n)
+    orbits = _orbits(spec.m, prof.red)
+    predicted = 1 + sum(1 << len(free) for _, free, _ in orbits)
+    if predicted > budget:
+        raise BudgetExceeded(f"reduced route needs {predicted} cosets, budget is {budget}")
     if stats is None:
         stats = EngineStats()
     if cache is None:
         cache = CosetCache()
 
-    prof = profile(spec)
-    if prof.s is not None:
-        predicted = _lta_coset_count(spec, prof)
-        if predicted > budget:
-            raise BudgetExceeded(
-                f"reduced route needs {predicted} cosets, budget is {budget}"
-            )
-    else:
-        predicted = 0
-    done_box = [0]
-
-    def orbit_progress(done: int, total: int) -> None:
-        if progress is not None:
-            progress(done_box[0] + done, predicted)
-
-    current = spec
+    start = stats.cosets_evaluated
     acc = WeightEnumerator.zero()
-    multiplier = []
-    # unrolled recursion: peel one red row per level, accumulate orbit terms
-    while True:
-        prof = profile(current)
-        if prof.s is None:
-            acc = acc + WeightEnumerator.binomial(current.n)
-            break
-        if prof.gamma == 0:
-            # plain spec, everything before s frozen to 0, u_s = 0
-            pair = calc_a(current.n, (0,) * prof.s, cache)
-            acc = acc + pair[0]
-            stats.cosets_evaluated += 1
-            break
-        f_idx = min(current.unfrozen)
-        f_mono = index_to_monomial(f_idx, current.m)
-        shift_set = [
-            i
-            for i in prof.red
-            if i != f_idx and single_shift_le(index_to_monomial(i, current.m), f_mono)
-        ]
-        orbit = current.with_frozen(f_idx, 1)
-        for i in shift_set:
-            orbit = orbit.with_frozen(i, 0)
+    for f, free, shifts in orbits:
+        orbit_progress = None
+        if progress is not None:
+            done = stats.cosets_evaluated - start
+            orbit_progress = lambda d, _total, done=done: progress(done + d, predicted)
         c_wef = wef_direct(
-            orbit,
+            _orbit_spec(spec, prof.red, f, free),
             cache=cache,
             budget=budget,
             threads=threads,
             stats=stats,
             progress=orbit_progress,
         )
-        orbit_prof = profile(orbit)
-        done_box[0] += 1 << orbit_prof.gamma
-        acc = acc + c_wef.scale(1 << len(shift_set))
-        current = current.with_frozen(f_idx, 0)
+        acc = acc + c_wef.scale(1 << shifts)
+    # every red row frozen to 0, and u_s = 0 because the spec is plain
+    acc = acc + calc_a(spec.n, (0,) * prof.s, cache)[0]
+    stats.cosets_evaluated += 1
+    evaluated = stats.cosets_evaluated - start
+    if evaluated != predicted:
+        raise AssertionError(f"reduced route evaluated {evaluated} cosets, predicted {predicted}")
     return acc
 
 
@@ -283,18 +277,18 @@ def wef_auto(
     *,
     budget: int = DEFAULT_BUDGET,
     threads: int = 1,
-    cache: Optional[CosetCache] = None,
     progress: Optional[ProgressFn] = None,
 ) -> tuple[WeightEnumerator, Report]:
     """Run the cheapest admissible route and report what was chosen.
 
     Candidate routes are direct, reduced, and (when the spec is plain and
     duals are allowed) the same two on the dual followed by the MacWilliams
-    transform.  All routes produce the identical enumerator.
+    transform.  All routes produce the identical enumerator; raises
+    AssertionError if it does not count 2^k codewords.
     """
 
     if strategy not in ("auto", "direct", "lta"):
-        raise ValueError(f"unknown strategy {strategy!r}")
+        raise StrategyInadmissible(f"unknown strategy {strategy!r}")
     cost = estimate_cost(spec)
     candidates: list[tuple[int, str]] = []
     if strategy in ("auto", "direct"):
@@ -302,7 +296,7 @@ def wef_auto(
     if strategy in ("auto", "lta") and cost.lta_cosets is not None:
         candidates.append((cost.lta_cosets, "lta"))
     if strategy == "lta" and cost.lta_cosets is None:
-        raise ValueError("the reduced route is not admissible for this spec")
+        raise StrategyInadmissible("the reduced route is not admissible for this spec")
     if allow_dual and strategy == "auto":
         if cost.dual_direct_cosets is not None:
             candidates.append((cost.dual_direct_cosets, "dual+direct"))
@@ -319,7 +313,7 @@ def wef_auto(
     predicted, route = min(admissible, key=lambda cr: (cr[0], preference[cr[1]]))
 
     stats = EngineStats()
-    kwargs = dict(cache=cache, budget=budget, threads=threads, stats=stats, progress=progress)
+    kwargs = dict(budget=budget, threads=threads, stats=stats, progress=progress)
     if route == "direct":
         wef = wef_direct(spec, **kwargs)
     elif route == "lta":
@@ -331,6 +325,8 @@ def wef_auto(
         else:
             dual_wef = wef_lta(dual, **kwargs)
         wef = macwilliams(dual_wef, spec.n, dual.k)
+    if wef.eval_at_one() != 1 << spec.k:
+        raise AssertionError(f"enumerator sums to {wef.eval_at_one()}, expected 2^{spec.k}")
     report = Report(
         route=route,
         n=spec.n,

@@ -6,12 +6,11 @@ validated against these enumerations, never the other way around.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .codespec import CodeSpec
-from .coset import PolarCosetSpec
 from .transform import generator_matrix
 from .wef import WeightEnumerator
 
@@ -100,20 +99,13 @@ def brute_force_wef(
 
 
 def brute_force_coset_wef(
-    n,
-    prefix: Optional[Sequence[int]] = None,
-    last_bit: Optional[int] = None,
+    n: int,
+    prefix: Sequence[int],
+    last_bit: int,
     guard: int = DEFAULT_K_GUARD,
 ) -> WeightEnumerator:
-    """Exact coset enumerator: fix prefix and last bit, run the suffix free.
+    """Exact coset enumerator: fix prefix and last bit, run the suffix free."""
 
-    Accepts either a PolarCosetSpec or the explicit (n, prefix, last_bit).
-    """
-
-    if isinstance(n, PolarCosetSpec):
-        n, prefix, last_bit = n.n, n.prefix, n.last_bit
-    if prefix is None or last_bit is None:
-        raise ValueError("prefix and last_bit are required without a PolarCosetSpec")
     if n < 1 or n & (n - 1):
         raise ValueError(f"block length {n} is not a power of two")
     i = len(prefix)

@@ -1,18 +1,13 @@
-"""The polar transform: bit reversal, butterfly encoding, and the row/monomial map.
+"""The polar transform: the bit-reversal permutation and the transform matrix.
 
 The transform matrix is the bit-reversal permutation times the m-th Kronecker
-power of [[1,0],[1,1]]; it is an involution over GF(2).  Encoding never
-materializes the matrix: it permutes the input and runs in-place butterfly
-stages in O(n log n).
+power of [[1,0],[1,1]]; it is an involution over GF(2).  Row i is the
+evaluation vector of ``Monomial.from_row_index(i, m)``.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
-
-from .monomials import Monomial
 
 MATRIX_GUARD_M = 12
 
@@ -31,23 +26,6 @@ def bit_reversal_permutation(m: int) -> list[int]:
     return perm
 
 
-def encode(u: Sequence[int], m: int) -> list[int]:
-    """Multiply u by the polar transform over GF(2) via butterfly stages."""
-
-    n = 1 << m
-    if len(u) != n:
-        raise ValueError(f"input length {len(u)} does not match block length {n}")
-    perm = bit_reversal_permutation(m)
-    v = [u[perm[j]] & 1 for j in range(n)]
-    d = n >> 1
-    while d:
-        for start in range(0, n, 2 * d):
-            for j in range(start, start + d):
-                v[j] ^= v[j + d]
-        d >>= 1
-    return v
-
-
 def generator_matrix(m: int) -> np.ndarray:
     """The full 2^m x 2^m transform matrix (test and oracle use only)."""
 
@@ -61,21 +39,3 @@ def generator_matrix(m: int) -> np.ndarray:
         kron = np.kron(k2, kron)
     perm = bit_reversal_permutation(m)
     return kron[perm, :]
-
-
-def index_to_monomial(i: int, m: int) -> Monomial:
-    """Monomial whose evaluation vector is row i of the transform matrix.
-
-    The variable set is exactly the zero bits of i: row 2^m - 1 is the
-    constant monomial 1 (the all-ones row), row 0 is the full product.
-    """
-
-    return Monomial.from_row_index(i, m)
-
-
-def monomial_to_index(f: Monomial, m: int | None = None) -> int:
-    """Row index of f's evaluation vector; inverse of index_to_monomial."""
-
-    if m is not None and m != f.m:
-        raise ValueError("ambient variable count mismatch")
-    return f.row_index

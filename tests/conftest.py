@@ -1,9 +1,11 @@
 """Shared fixtures: reference codes and frozen expected values."""
 
 import os
+from pathlib import Path
 
 import pytest
 
+import polarwd
 from polarwd import WeightEnumerator, from_unfrozen_set
 
 # (16,11) extended Hamming code as a polar/decreasing monomial code
@@ -64,6 +66,13 @@ def hamming16_spec():
 @pytest.fixture
 def polar128_spec():
     return from_unfrozen_set(7, POLAR128_UNFROZEN)
+
+
+def pytest_configure(config):
+    # tests that run `python -m polarwd.cli` must import the same checkout
+    src = str(Path(polarwd.__file__).resolve().parents[1])
+    paths = [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+    os.environ["PYTHONPATH"] = os.pathsep.join(dict.fromkeys(paths))
 
 
 def pytest_collection_modifyitems(config, items):

@@ -1,9 +1,12 @@
 import json
+import os
+import resource
 import subprocess
 import sys
 
 import pytest
 
+from polarwd import WeightEnumerator
 from polarwd.cli import run
 
 from conftest import HAMMING16_UNFROZEN
@@ -64,6 +67,17 @@ class TestWef:
         assert code == 1
         assert "ERROR[strategy_inadmissible]" in err
 
+    def test_non_linear_dual_enumerator_exit_3(self, capsys, hamming16_file, monkeypatch):
+        # the (16,11) code takes the dual+lta route; a dual enumerator that no
+        # linear code has makes MacWilliams fail, which is an internal fault
+        monkeypatch.setattr(
+            "polarwd.engine.wef_lta", lambda spec, **_: WeightEnumerator([1, 31])
+        )
+        code, out, err = invoke(capsys, "wef", "--spec", hamming16_file, "--allow-dual")
+        assert code == 3 and out == ""
+        assert "ERROR[internal_invariant]" in err
+        assert "not a linear-code weight enumerator" in err
+
 
 class TestErrors:
     def test_missing_file(self, capsys):
@@ -81,6 +95,22 @@ class TestErrors:
         path.write_text(json.dumps({"m": 2, "unfrozen": [9]}))
         code, _, err = invoke(capsys, "cost", "--spec", str(path))
         assert code == 1 and "ERROR[spec_invalid]" in err
+
+    def test_huge_m_rejected_promptly(self, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"m": 40, "frozen": []}))
+        # cap the address space so that a regression fails fast instead of
+        # exhausting memory; one BLAS thread keeps numpy's import under the cap
+        limit = 1 << 30
+        proc = subprocess.run(
+            [sys.executable, "-m", "polarwd.cli", "wef", "--spec", str(path)],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+        assert proc.returncode == 1 and "ERROR[spec_invalid]" in proc.stderr
 
     def test_unknown_flag(self, capsys, hamming16_file):
         code, _, _ = invoke(capsys, "wef", "--spec", hamming16_file, "--bogus")

@@ -7,18 +7,20 @@ from polarwd import (
     CodeSpec,
     FreezeConstraint,
     from_bhattacharyya_bec,
-    from_frozen_set,
-    from_generator_matrix,
     from_rm,
     from_unfrozen_set,
-    generator_matrix,
     pac_spec,
     profile,
     dual_spec,
     spec_from_json,
+)
+from polarwd.codespec import (
+    bec_bhattacharyya,
+    from_frozen_set,
+    from_generator_matrix,
     spec_to_json,
 )
-from polarwd.codespec import bec_bhattacharyya
+from polarwd.transform import generator_matrix
 from polarwd.oracle import codewords
 
 from conftest import HAMMING16_UNFROZEN

@@ -5,31 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polarwd import (
-    CosetCache,
-    PolarCosetSpec,
-    WeightEnumerator,
-    brute_force_coset_wef,
-    calc_a,
-    even_odd_transform,
-)
-
-
-class TestPolarCosetSpec:
-    def test_size(self):
-        assert PolarCosetSpec(16, (0, 1, 0), 1).size == 1 << 12
-
-    def test_bad_length_rejected(self):
-        with pytest.raises(ValueError):
-            PolarCosetSpec(6, (), 0)
-
-    def test_long_prefix_rejected(self):
-        with pytest.raises(ValueError):
-            PolarCosetSpec(2, (0, 1), 0)
-
-    def test_bad_bit_rejected(self):
-        with pytest.raises(ValueError):
-            PolarCosetSpec(2, (), 2)
+from polarwd import CosetCache, WeightEnumerator, from_rm, wef_direct
+from polarwd.coset import calc_a, even_odd_transform
+from polarwd.oracle import brute_force_coset_wef
 
 
 class TestEvenOddTransform:
@@ -86,10 +64,6 @@ class TestOracleEquivalence:
                 assert w0 == brute_force_coset_wef(n, prefix, 0)
                 assert w1 == brute_force_coset_wef(n, prefix, 1)
 
-    def test_accepts_coset_spec_object(self):
-        spec = PolarCosetSpec(8, (1, 0), 1)
-        assert brute_force_coset_wef(spec) == calc_a(8, (1, 0))[1]
-
     def test_zero_prefix_n16(self):
         assert brute_force_coset_wef(16, (0,) * 8, 0) == calc_a(16, (0,) * 8)[0]
 
@@ -112,6 +86,13 @@ class TestInvariants:
             length = rng.randrange(0, 15)
             prefix = tuple(rng.randrange(2) for _ in range(length))
             assert calc_a(16, prefix, cache) == calc_a(16, prefix, None)
+
+    def test_full_length_pairs_not_cached(self):
+        spec = from_rm(2, 5)
+        cache = CosetCache()
+        wef_direct(spec, cache=cache)
+        assert len(cache) > 0
+        assert all(n < spec.n for n, _ in cache._table)
 
     def test_cache_is_bounded(self):
         cache = CosetCache(max_entries=2)

@@ -3,19 +3,21 @@ import random
 import pytest
 
 from polarwd import (
-    BudgetExceeded,
     CosetCache,
     WeightEnumerator,
     brute_force_wef,
+    dual_spec,
     estimate_cost,
-    from_frozen_set,
+    from_bhattacharyya_bec,
     from_rm,
     from_unfrozen_set,
+    macwilliams,
     wef_auto,
     wef_direct,
     wef_lta,
 )
-from polarwd.engine import EngineStats
+from polarwd.codespec import from_frozen_set
+from polarwd.engine import BudgetExceeded, EngineStats
 
 from conftest import HAMMING16_WEF, POLAR128_UNFROZEN
 
@@ -71,6 +73,14 @@ class TestLta:
         wef_lta(hamming16_spec, stats=stats)
         assert stats.cosets_evaluated == 5
         assert estimate_cost(hamming16_spec).lta_cosets == 5
+
+    def test_evaluated_cosets_checked_against_prediction(self, hamming16_spec, monkeypatch):
+        # an orbit evaluation that does not count its cosets breaks the tally
+        monkeypatch.setattr(
+            "polarwd.engine.wef_direct", lambda spec, **_: WeightEnumerator.zero()
+        )
+        with pytest.raises(AssertionError, match="predicted 5"):
+            wef_lta(hamming16_spec)
 
     def test_non_decreasing_rejected(self):
         spec = from_unfrozen_set(4, [3, 15])  # x2x3 without its predecessors
@@ -149,12 +159,28 @@ class TestAuto:
         with pytest.raises(ValueError):
             wef_auto(hamming16_spec, strategy="fastest")
 
+    def test_cardinality_checked(self, hamming16_spec, monkeypatch):
+        monkeypatch.setattr(
+            "polarwd.engine.wef_direct", lambda spec, **_: WeightEnumerator([1, 1])
+        )
+        with pytest.raises(AssertionError, match="expected 2\\^11"):
+            wef_auto(hamming16_spec, strategy="direct")
+
     def test_report_counts(self, hamming16_spec):
         _, report = wef_auto(hamming16_spec, strategy="lta")
         assert report.predicted_cosets == report.cosets_evaluated == 5
 
 
 class TestRouteEquivalence:
+    def test_bec_6_32_above_oracle_guard(self):
+        # k = 32 is past the brute-force guard (k <= 24): the routes check each other
+        spec = from_bhattacharyya_bec(6, 32, 0.5)
+        dual = dual_spec(spec)
+        lta = wef_lta(spec)
+        assert wef_direct(spec) == lta
+        assert macwilliams(wef_lta(dual), spec.n, dual.k) == lta
+        assert lta.eval_at_one() == 1 << 32
+
     def test_random_decreasing_specs(self):
         rng = random.Random(2024)
         from polarwd import Monomial, from_unfrozen_set

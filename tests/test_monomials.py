@@ -6,15 +6,18 @@ from hypothesis import strategies as st
 
 from polarwd import (
     Monomial,
-    Order,
-    chain_decompose,
-    compare,
-    is_decreasing,
     max_mixing_factor,
     max_mixing_factor_rate_half,
     single_shift_le,
 )
-from polarwd.monomials import immediate_predecessors, precedes
+from polarwd.monomials import (
+    Order,
+    chain_decompose,
+    compare,
+    immediate_predecessors,
+    is_decreasing,
+    precedes,
+)
 
 
 def monomials(m: int):
@@ -221,13 +224,11 @@ class TestMixingFactorExtremals:
         # rebuild the incomparable-above count for one witness by hand
         m = 4
         best, taus = max_mixing_factor(m)
-        from polarwd import index_to_monomial
-
         for t in taus:
-            tau = index_to_monomial(t, m)
+            tau = Monomial.from_row_index(t, m)
             count = sum(
                 1
                 for i in range(t)
-                if compare(index_to_monomial(i, m), tau) == Order.INCOMPARABLE
+                if compare(Monomial.from_row_index(i, m), tau) == Order.INCOMPARABLE
             )
             assert count == best
