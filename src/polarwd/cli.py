@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Optional
 
@@ -55,7 +54,7 @@ def _load_spec(path: str) -> CodeSpec:
         raise CliError("spec_malformed_json", f"malformed JSON in {path}: {exc}") from exc
     try:
         return spec_from_json(obj)
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise CliError("spec_invalid", f"invalid spec: {exc}") from exc
 
 
@@ -91,14 +90,12 @@ def _wef_payload(spec: CodeSpec, wef: WeightEnumerator, route: str, cosets: int)
 def _cmd_wef(args: argparse.Namespace) -> int:
     spec = _load_spec(args.spec)
     progress = _progress_printer(args.progress)
-    nthreads = args.threads if args.threads > 0 else (os.cpu_count() or 1)
     try:
         wef, report = wef_auto(
             spec,
             strategy=args.strategy,
             allow_dual=args.allow_dual,
             budget=args.budget,
-            threads=nthreads,
             progress=progress,
         )
     except BudgetExceeded as exc:
@@ -207,7 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", choices=["auto", "direct", "lta"], default="auto")
     p.add_argument("--allow-dual", action="store_true")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.add_argument("--threads", type=int, default=1, help="0 means all available")
     p.add_argument("--progress", action="store_true")
     _add_out_arg(p)
     p.set_defaults(func=_cmd_wef)

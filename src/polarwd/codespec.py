@@ -319,6 +319,8 @@ def spec_from_json(obj: dict) -> CodeSpec:
         constrained = set()
         for c in obj["constraints"]:
             target = int(c["target"])
+            if not 0 <= target < n:
+                raise ValueError(f"constraint target {target} out of range for n={n}")
             statuses[target] = FreezeConstraint(
                 target,
                 frozenset(int(j) for j in c.get("support", [])),

@@ -2,21 +2,24 @@
 reduced recursion for decreasing monomial codes, cost estimates, and automatic
 strategy selection (including the dual/MacWilliams detour).
 
-The direct route evaluates one coset per assignment of the red bits (2^gamma
-of them).  The reduced route repeatedly freezes the first unfrozen row f: the
-subsets where f is frozen to 1 and the single-shift-related red rows take all
-values form one orbit of the lower-triangular affine group, so a single coset
-enumerator stands for 2^{|S|} of them.
+The direct route covers one coset per assignment of the red bits (2^gamma
+of them).  Every freeze constraint is affine, so their prefixes form one
+affine set, built from gamma + 1 prefixes and summed by ``coset.affine_sum``
+in one recursion; the work grows with how much each level mixes the two
+halves of the codeword, not with 2^gamma.  The reduced route repeatedly
+freezes the first unfrozen row f: the subsets where f is frozen to 1 and the
+single-shift-related red rows take all values form one orbit of the
+lower-triangular affine group, so a single coset enumerator stands for
+2^{|S|} of them.  Evaluation is single-threaded.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .codespec import CodeSpec, FreezeConstraint, Profile, dual_spec, profile
-from .coset import CosetCache, calc_a
+from .coset import CosetCache, affine_sum, calc_a
 from .monomials import Monomial, single_shift_le
 from .wef import WeightEnumerator, macwilliams
 
@@ -108,41 +111,24 @@ def estimate_cost(spec: CodeSpec) -> CostEstimate:
     return CostEstimate(direct, lta, dual_direct, dual_lta)
 
 
-def _coset_prefix(spec: CodeSpec, prof: Profile, assignment: int) -> tuple[tuple[int, ...], int]:
-    """Information prefix u_0..u_{s-1} and the constrained value of u_s.
+def _coset_prefix(spec: CodeSpec, prof: Profile, assignment: int) -> int:
+    """Information prefix u_0..u_s as an int with bit i = u_i.
 
     The red bits take the assignment's bits (first red bit is the most
-    significant, so assignments run in lexicographic order); frozen bits
-    resolve their constraints causally.
+    significant, so assignments run in lexicographic order); frozen bits,
+    u_s included, resolve their constraints causally.
     """
 
-    s = prof.s
-    gamma = prof.gamma
     u: list[int] = []
     red_pos = 0
-    for i in range(s + 1):
+    for i in range(prof.s + 1):
         st = spec.statuses[i]
         if st is None:
-            u.append(assignment >> (gamma - 1 - red_pos) & 1)
+            u.append(assignment >> (prof.gamma - 1 - red_pos) & 1)
             red_pos += 1
         else:
             u.append(st.value(u))
-    return tuple(u[:s]), u[s]
-
-
-def _direct_range(
-    spec: CodeSpec,
-    prof: Profile,
-    start: int,
-    stop: int,
-    cache: Optional[CosetCache],
-) -> WeightEnumerator:
-    acc = WeightEnumerator.zero()
-    for assignment in range(start, stop):
-        prefix, last = _coset_prefix(spec, prof, assignment)
-        pair = calc_a(spec.n, prefix, cache)
-        acc = acc + pair[last]
-    return acc
+    return sum(b << i for i, b in enumerate(u))
 
 
 def wef_direct(
@@ -154,12 +140,15 @@ def wef_direct(
     stats: Optional[EngineStats] = None,
     progress: Optional[ProgressFn] = None,
 ) -> WeightEnumerator:
-    """Weight enumerator by summing one polar coset per red-bit assignment.
+    """Weight enumerator as one sum over the 2^gamma red-bit assignments.
 
+    Every freeze constraint is affine, so the prefixes u_0..u_s of all
+    assignments form the affine set prefix(0) + span(prefix(2^j) xor
+    prefix(0)), and ``affine_sum`` adds their cosets in one recursion.
     Rate-1 codes have no frozen bit and fall outside the coset decomposition;
-    they get the closed-form full-space enumerator.  The assignment space is
-    split into contiguous ranges combined in order, so the result is identical
-    for any thread count.
+    they get the closed-form full-space enumerator.  ``threads`` is accepted
+    and ignored, for callers written against the old thread pool: evaluation
+    is single-threaded.
     """
 
     prof = profile(spec)
@@ -170,36 +159,13 @@ def wef_direct(
         raise BudgetExceeded(f"direct route needs {total} cosets, budget is {budget}")
     if stats is None:
         stats = EngineStats()
-    if cache is None:
-        cache = CosetCache()
-
-    if threads <= 1 or total == 1:
-        chunks = [(0, total)]
-    else:
-        step = max(1, -(-total // (threads * 4)))
-        chunks = [(a, min(a + step, total)) for a in range(0, total, step)]
-
-    if len(chunks) == 1:
-        result = _direct_range(spec, prof, 0, total, cache)
-        stats.cosets_evaluated += total
-        if progress is not None:
-            progress(total, total)
-        return result
-
-    acc = WeightEnumerator.zero()
-    done = 0
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [
-            pool.submit(_direct_range, spec, prof, a, b, cache) for a, b in chunks
-        ]
-        # combine partial sums in submission order: bit-exact determinism
-        for (a, b), fut in zip(chunks, futures):
-            acc = acc + fut.result()
-            done += b - a
-            if progress is not None:
-                progress(done, total)
+    offset = _coset_prefix(spec, prof, 0)
+    basis = [_coset_prefix(spec, prof, 1 << j) ^ offset for j in range(prof.gamma)]
+    result = affine_sum(spec.n, prof.s + 1, offset, basis, cache)
     stats.cosets_evaluated += total
-    return acc
+    if progress is not None:
+        progress(total, total)
+    return result
 
 
 def _orbit_spec(spec: CodeSpec, red: Sequence[int], f: int, free: Sequence[int]) -> CodeSpec:
@@ -218,7 +184,6 @@ def wef_lta(
     *,
     cache: Optional[CosetCache] = None,
     budget: int = DEFAULT_BUDGET,
-    threads: int = 1,
     stats: Optional[EngineStats] = None,
     progress: Optional[ProgressFn] = None,
 ) -> WeightEnumerator:
@@ -256,7 +221,6 @@ def wef_lta(
             _orbit_spec(spec, prof.red, f, free),
             cache=cache,
             budget=budget,
-            threads=threads,
             stats=stats,
             progress=orbit_progress,
         )
@@ -276,7 +240,6 @@ def wef_auto(
     allow_dual: bool = True,
     *,
     budget: int = DEFAULT_BUDGET,
-    threads: int = 1,
     progress: Optional[ProgressFn] = None,
 ) -> tuple[WeightEnumerator, Report]:
     """Run the cheapest admissible route and report what was chosen.
@@ -313,7 +276,7 @@ def wef_auto(
     predicted, route = min(admissible, key=lambda cr: (cr[0], preference[cr[1]]))
 
     stats = EngineStats()
-    kwargs = dict(budget=budget, threads=threads, stats=stats, progress=progress)
+    kwargs = dict(budget=budget, stats=stats, progress=progress)
     if route == "direct":
         wef = wef_direct(spec, **kwargs)
     elif route == "lta":

@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 import os
 import resource
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from polarwd import WeightEnumerator
 from polarwd.cli import run
@@ -96,6 +101,24 @@ class TestErrors:
         code, _, err = invoke(capsys, "cost", "--spec", str(path))
         assert code == 1 and "ERROR[spec_invalid]" in err
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # constraint targets outside [0, n)
+            '{"m": 2, "constraints": [{"target": 9}]}',
+            '{"m": 2, "constraints": [{"target": -1}]}',
+            # values that overflow int or uint8
+            '{"m": Infinity, "unfrozen": []}',
+            '{"construction": "generator", "matrix": [[256, 1]]}',
+            '{"construction": "pac", "m": 2, "profile": [3], "taps": [1, -Infinity]}',
+        ],
+    )
+    def test_out_of_range_values_rejected(self, capsys, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code, out, err = invoke(capsys, "wef", "--spec", str(path))
+        assert (code, out) == (1, "") and "ERROR[spec_invalid]" in err
+
     def test_huge_m_rejected_promptly(self, tmp_path):
         path = tmp_path / "huge.json"
         path.write_text(json.dumps({"m": 40, "frozen": []}))
@@ -121,6 +144,77 @@ class TestErrors:
         path.write_text(json.dumps({"m": 5, "frozen": [0]}))
         code, _, err = invoke(capsys, "brute-force", "--spec", str(path))
         assert code == 2 and "ERROR[guard_exceeded]" in err
+
+
+# Arbitrary JSON spec objects: one shape per way of writing a spec, with
+# every field missing, of the wrong type, out of range or huge.  Valid values
+# of m stop at 6 so that a spec that does load is evaluated in milliseconds.
+_weird = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-(2**70), 2**70),
+    st.text(max_size=3),
+    st.lists(st.integers(-2, 2), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+)
+
+
+def _field(good):
+    return st.one_of(good, _weird)
+
+
+_m = _field(st.one_of(st.integers(-3, 6), st.integers(17, 2**70), st.integers(max_value=-4)))
+_small = st.integers(-3, 70)
+_indices = _field(st.lists(_field(_small), max_size=8))
+_constraint = _field(
+    st.fixed_dictionaries(
+        {"target": _field(_small)},
+        optional={"support": _indices, "constant": _field(st.integers(-1, 2))},
+    )
+)
+
+
+def _shape(construction, **fields):
+    required = {} if construction is None else {"construction": _field(st.just(construction))}
+    return st.fixed_dictionaries(required, optional=fields)
+
+
+_spec_object = st.one_of(
+    _shape(None, m=_m, frozen=_indices),
+    _shape(None, m=_m, unfrozen=_indices),
+    _shape(None, m=_m, unfrozen=_indices, constraints=_field(st.lists(_constraint, max_size=4))),
+    _shape("rm", m=_m, r=_field(_small)),
+    _shape("bec", m=_m, k=_field(_small), erasure=_field(st.floats())),
+    _shape("pac", m=_m, profile=_indices, taps=_field(st.one_of(st.text("01", max_size=8), _indices))),
+    _shape("generator", matrix=_field(st.lists(st.lists(_field(st.integers(-2, 300)), max_size=8), max_size=4))),
+    _shape("polar", m=_m),
+    _weird,
+)
+
+
+class TestFuzzedSpecs:
+    @settings(
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    @given(_spec_object)
+    def test_wef_exits_cleanly(self, obj):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "spec.json")
+            with open(path, "w") as fh:
+                json.dump(obj, fh)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = run(["wef", "--spec", path, "--budget", "4096"])
+        assert code in (0, 1, 2), err.getvalue()
+        if code:
+            assert out.getvalue() == ""
+            assert err.getvalue().startswith("ERROR[")
+        else:
+            payload = json.loads(out.getvalue())
+            assert sum(int(c) for _, c in payload["wef"]) == 1 << payload["k"]
 
 
 class TestOtherCommands:

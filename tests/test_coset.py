@@ -5,20 +5,45 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polarwd import CosetCache, WeightEnumerator, from_rm, wef_direct
-from polarwd.coset import calc_a, even_odd_transform
+from polarwd import (
+    CosetCache,
+    WeightEnumerator,
+    from_bhattacharyya_bec,
+    from_rm,
+    from_unfrozen_set,
+    wef_direct,
+)
+from polarwd.coset import _split, affine_sum, calc_a
 from polarwd.oracle import brute_force_coset_wef
+
+from conftest import HAMMING16_WEF
 
 
 class TestEvenOddTransform:
+    """``_split`` maps an even-length prefix int (bit i = u_i) to its
+    (even xor odd, odd) halves."""
+
     def test_empty(self):
-        assert even_odd_transform(()) == ((), ())
+        assert _split(0, 0) == (0, 0)
 
     def test_pair(self):
-        assert even_odd_transform((0, 1)) == ((1,), (1,))
+        # (0, 1) -> ((1,), (1,))
+        assert _split(0b10, 1) == (0b1, 0b1)
 
     def test_length_four(self):
-        assert even_odd_transform((1, 0, 1, 1)) == ((1, 0), (0, 1))
+        # (1, 0, 1, 1) -> ((1, 0), (0, 1))
+        assert _split(0b1101, 1) == (0b01, 0b10)
+
+    def test_matches_bitwise_definition(self):
+        rng = random.Random(5)
+        for length in range(0, 130, 2):
+            nbytes = (length + 7) // 8
+            for _ in range(5):
+                p = rng.getrandbits(length) if length else 0
+                bits = [p >> i & 1 for i in range(length)]
+                xored = sum((bits[2 * j] ^ bits[2 * j + 1]) << j for j in range(length // 2))
+                odd = sum(bits[2 * j + 1] << j for j in range(length // 2))
+                assert _split(p, nbytes) == (xored, odd)
 
 
 class TestCalcAExamples:
@@ -52,6 +77,16 @@ class TestCalcAExamples:
     def test_long_prefix_rejected(self):
         with pytest.raises(ValueError):
             calc_a(2, (0, 1))
+
+    @pytest.mark.parametrize("bad", [2, -1, 3, 0.5, "1"])
+    def test_non_bit_entries_rejected(self, bad):
+        with pytest.raises(ValueError):
+            calc_a(4, (bad,))
+        with pytest.raises(ValueError):
+            calc_a(8, (0, 1, bad))
+
+    def test_bool_entries_accepted(self):
+        assert calc_a(4, (True, False)) == calc_a(4, (1, 0))
 
 
 class TestOracleEquivalence:
@@ -99,3 +134,98 @@ class TestInvariants:
         for prefix in [(0, 0), (0, 1), (1, 0), (1, 1)]:
             calc_a(8, prefix, cache)
         assert len(cache) <= 2
+
+
+def coset_wef(n, length, prefix, cache=None):
+    """Enumerator of the one coset whose first ``length`` bits are ``prefix``."""
+
+    if length == 0:
+        w0, w1 = calc_a(n, (), cache)
+        return w0 + w1
+    bits = [prefix >> i & 1 for i in range(length)]
+    return calc_a(n, bits[:-1], cache)[bits[-1]]
+
+
+def span(offset, basis):
+    points = {offset}
+    for v in basis:
+        points |= {p ^ v for p in points}
+    return points
+
+
+class TestAffineSum:
+    def test_matches_per_coset_sum(self):
+        # seeded random sets: odd and even lengths, dependent basis vectors
+        rng = random.Random(11)
+        cache = CosetCache()
+        for n in (2, 4, 8, 16, 32):
+            for _ in range(12):
+                length = rng.randrange(0, n + 1)
+                dim = rng.randrange(0, min(length, 6) + 1)
+                basis = [rng.getrandbits(length) if length else 0 for _ in range(dim)]
+                if len(basis) >= 2:
+                    basis.append(basis[0] ^ basis[1])
+                offset = rng.getrandbits(length) if length else 0
+                expected = WeightEnumerator.zero()
+                for p in span(offset, basis):
+                    expected = expected + coset_wef(n, length, p, cache)
+                assert affine_sum(n, length, offset, basis, cache) == expected
+                assert affine_sum(n, length, offset, basis) == expected
+
+    def test_matches_oracle(self):
+        for offset, basis in [(0b0110, [0b0011, 0b1000]), (0b101, [0b110]), (1, [])]:
+            expected = WeightEnumerator.zero()
+            for p in span(offset, basis):
+                bits = tuple(p >> i & 1 for i in range(4))
+                expected = expected + brute_force_coset_wef(16, bits[:3], bits[3])
+            assert affine_sum(16, 4, offset, basis) == expected
+
+    def test_full_prefix_length(self):
+        # every bit fixed: u = (1,0,0,0) and (1,1,0,0) encode to 1000 and 0100
+        assert affine_sum(4, 4, 0b0001, [0b0010]) == WeightEnumerator([0, 2])
+        assert affine_sum(4, 4, 0b1111) == WeightEnumerator([0, 1])
+
+    def test_wide_vectors_rejected(self):
+        with pytest.raises(ValueError):
+            affine_sum(8, 3, 0b1000)
+        with pytest.raises(ValueError):
+            affine_sum(8, 3, 0, [0b10000])
+        with pytest.raises(ValueError):
+            affine_sum(8, 9, 0)
+        with pytest.raises(ValueError):
+            affine_sum(6, 2, 0)
+
+    def test_shared_cache_across_lengths(self):
+        # equal ints at different lengths and block lengths are different sets
+        shared = CosetCache()
+        cases = [(n, length, offset, basis)
+                 for n in (8, 16, 32)
+                 for length in (1, 2, 3, 4, 5)
+                 for offset, basis in [(1, ()), (1, (2,)), (0, (1, 4)), (3, ())]
+                 if length <= n and all(v >> length == 0 for v in (offset, *basis))]
+        for n, length, offset, basis in cases:
+            assert affine_sum(n, length, offset, basis, shared) == affine_sum(
+                n, length, offset, basis, CosetCache()
+            )
+
+    def test_shared_cache_across_specs(self):
+        specs = [
+            from_rm(1, 4),
+            from_rm(2, 5),
+            from_bhattacharyya_bec(5, 16, 0.5),
+            from_bhattacharyya_bec(6, 20, 0.4),
+            from_unfrozen_set(4, [3, 5, 6, 7]),
+            from_unfrozen_set(3, [3, 5, 6, 7]).with_frozen(3, 1, support=[1, 2]),
+        ]
+        shared = CosetCache()
+        for spec in specs:
+            assert wef_direct(spec, cache=shared) == wef_direct(spec, cache=CosetCache())
+
+    def test_tiny_cache_stays_exact_and_bounded(self, hamming16_spec):
+        for spec, expected in [
+            (hamming16_spec, HAMMING16_WEF),
+            (from_bhattacharyya_bec(6, 20, 0.4), wef_direct(from_bhattacharyya_bec(6, 20, 0.4))),
+        ]:
+            cache = CosetCache(max_entries=4)
+            assert wef_direct(spec, cache=cache) == expected
+            assert len(cache) <= 4

@@ -16,8 +16,15 @@ from polarwd import (
     wef_direct,
     wef_lta,
 )
-from polarwd.codespec import from_frozen_set
-from polarwd.engine import BudgetExceeded, EngineStats
+from polarwd.codespec import from_frozen_set, profile
+from polarwd.coset import calc_a
+from polarwd.engine import (
+    BudgetExceeded,
+    EngineStats,
+    _coset_prefix,
+    _orbit_spec,
+    _orbits,
+)
 
 from conftest import HAMMING16_WEF, POLAR128_UNFROZEN
 
@@ -51,6 +58,44 @@ class TestDirect:
     @pytest.mark.parametrize("threads", [1, 2, 3, 8])
     def test_thread_count_never_changes_result(self, hamming16_spec, threads):
         assert wef_direct(hamming16_spec, threads=threads) == HAMMING16_WEF
+
+    def test_builds_gamma_plus_one_prefixes(self, hamming16_spec, monkeypatch):
+        calls = []
+
+        def counting(spec, prof, assignment):
+            calls.append(assignment)
+            return _coset_prefix(spec, prof, assignment)
+
+        monkeypatch.setattr("polarwd.engine._coset_prefix", counting)
+        stats = EngineStats()
+        assert wef_direct(hamming16_spec, stats=stats) == HAMMING16_WEF
+        assert calls == [0, 1, 2, 4, 8]
+        assert stats.cosets_evaluated == 16
+
+    def test_progress_reported_once(self, hamming16_spec):
+        seen = []
+        wef_direct(hamming16_spec, progress=lambda d, t: seen.append((d, t)))
+        assert seen == [(16, 16)]
+
+    def test_head_free_box_without_kernels(self, polar128_spec):
+        # orbit u_30 of the (128,64) code: its first red rows mix the two
+        # halves at every top-level dimension, so no grouping applies there
+        red = profile(polar128_spec).red
+        free = next(fr for f, fr, _ in _orbits(7, red) if f == 30)
+        orbit = _orbit_spec(polar128_spec, red, 30, free)
+        tail = profile(orbit).red[10:]
+        box = orbit
+        for j, i in enumerate(tail):
+            box = box.with_frozen(i, 0x2D5 >> j & 1)
+        prof = profile(box)
+        assert prof.gamma == 10
+        cache = CosetCache()
+        expected = WeightEnumerator.zero()
+        for assignment in range(1 << 10):
+            p = _coset_prefix(box, prof, assignment)
+            bits = [p >> i & 1 for i in range(prof.s)]
+            expected = expected + calc_a(128, bits, cache)[p >> prof.s & 1]
+        assert wef_direct(box, cache=CosetCache()) == expected
 
 
 class TestLta:
