@@ -18,6 +18,11 @@ K_w = {b : (0, b) in its span}, the set is a disjoint union of 2^m boxes
 
 2^m products of half-length affine sums.  A single coset is the dimension-0
 case, and the base case at n = 1 is 1 for u_0 = 0, X for u_0 = 1.
+
+The split of the set depends on (length, basis) only, not on the offset, so
+each such pair is split once: its plan (half length, byte count, K_v, K_w,
+mixed generators) is kept in the cache, and a step only splits and reduces
+the offset before walking the boxes.
 """
 
 from __future__ import annotations
@@ -31,17 +36,25 @@ from .wef import WeightEnumerator
 # and offset reduced by it, so every set has exactly one key.
 CacheKey = tuple[int, tuple[int, int, tuple[int, ...]]]
 
+# (length, basis) -> (half, nbytes, K_v, K_w, mixed): how ``_step`` splits
+# every set with this length and basis, whatever its offset.
+Plan = tuple[int, int, tuple[int, ...], tuple[int, ...], tuple[tuple[int, int], ...]]
+
 
 class CosetCache:
-    """Bounded memo table for the enumerator sums of sub-coset sets.
+    """Bounded memo tables: the enumerator sums of sub-coset sets, and the
+    split plans of ``_step`` in ``plans``.
 
-    Insertion stops silently once the size cap is reached; entries are never
-    mutated after insertion.
+    ``max_entries`` caps each of the two tables, so a full cache holds up to
+    twice that many entries.  Each table stops growing silently at the cap;
+    entries are never mutated after insertion.  ``get``/``put`` serve the
+    sums only; the recursion reads and fills ``plans`` directly.
     """
 
     def __init__(self, max_entries: int = 1 << 20):
         self.max_entries = max_entries
         self._table: dict[CacheKey, WeightEnumerator] = {}
+        self.plans: dict[tuple[int, tuple[int, ...]], Plan] = {}
 
     def get(self, key: CacheKey) -> Optional[WeightEnumerator]:
         return self._table.get(key)
@@ -106,6 +119,30 @@ def _reduce(x: int, rows: Sequence[int]) -> int:
     return x
 
 
+def _plan(length: int, basis: tuple[int, ...]) -> Plan:
+    """Split of the sets x + span(basis) of ``length``-bit prefixes into
+    half-length kernels and mixed generators."""
+
+    half = (length + 1) // 2
+    nbytes = (2 * half + 7) // 8
+    low = (1 << half) - 1
+    # each vector as b << half | a; at odd length the next bit runs free,
+    # one more vector with the top bit set in both halves
+    vectors = [vb << half | va for va, vb in (_split(x, nbytes) for x in basis)]
+    if length % 2:
+        vectors.append(1 << 2 * half - 1 | 1 << half - 1)
+    # reduction on the b-side pivots first leaves the rows with b = 0, which
+    # span K_v
+    rows = _rref(vectors)
+    k_v = tuple(r for r in rows if r <= low)
+    # swap the halves of the other rows: their a-parts are reduced by K_v, so
+    # rows left with a = 0 span K_w and the rest are the mixed generators
+    rows = _rref((r & low) << half | r >> half for r in rows if r > low)
+    k_w = tuple(r for r in rows if r <= low)
+    mixed = tuple((r >> half, r & low) for r in rows if r > low)
+    return half, nbytes, k_v, k_w, mixed
+
+
 def _sum(
     n: int, length: int, offset: int, basis: tuple[int, ...], cache: CosetCache
 ) -> WeightEnumerator:
@@ -130,24 +167,13 @@ def _step(
         if length == 0 or basis:
             return WeightEnumerator([1, 1])
         return WeightEnumerator.x() if offset else WeightEnumerator.one()
-    half = (length + 1) // 2
-    nbytes = (2 * half + 7) // 8
-    low = (1 << half) - 1
+    plan = cache.plans.get((length, basis))
+    if plan is None:
+        plan = _plan(length, basis)
+        if len(cache.plans) < cache.max_entries:
+            cache.plans[length, basis] = plan
+    half, nbytes, k_v, k_w, mixed = plan
     a, b = _split(offset, nbytes)
-    # each vector as b << half | a; at odd length the next bit runs free,
-    # one more vector with the top bit set in both halves
-    vectors = [vb << half | va for va, vb in (_split(x, nbytes) for x in basis)]
-    if length % 2:
-        vectors.append(1 << 2 * half - 1 | 1 << half - 1)
-    # reduction on the b-side pivots first leaves the rows with b = 0, which
-    # span K_v
-    rows = _rref(vectors)
-    k_v = tuple(r for r in rows if r <= low)
-    # swap the halves of the other rows: their a-parts are reduced by K_v, so
-    # rows left with a = 0 span K_w and the rest are the mixed generators
-    rows = _rref((r & low) << half | r >> half for r in rows if r > low)
-    k_w = tuple(r for r in rows if r <= low)
-    mixed = [(r >> half, r & low) for r in rows if r > low]
     a = _reduce(a, k_v)
     b = _reduce(b, k_w)
     acc = _sum(n // 2, half, a, k_v, cache) * _sum(n // 2, half, b, k_w, cache)

@@ -2,7 +2,10 @@
 
 Coefficients are Python ints, so nothing ever overflows or rounds; the code
 weight counts at length 128 already exceed 2^62.  Multiplication is schoolbook
-convolution on purpose: degrees stay at or below the block length.
+convolution: degrees stay at or below the block length.  ``macwilliams``
+instead evaluates its whole transform on one big int (Kronecker
+substitution): the polynomial sum_w A_w X^w becomes sum_w A_w 2^{w W} for a
+slot width W wide enough that no slot carries.
 """
 
 from __future__ import annotations
@@ -112,9 +115,15 @@ class WeightEnumerator:
 def macwilliams(a: WeightEnumerator, n: int, k: int) -> WeightEnumerator:
     """Weight enumerator of the dual of an (n, k) code with enumerator ``a``.
 
-    Computes 2^{-k} * sum_w A_w (1-X)^w (1+X)^{n-w} by exact integer binomial
-    convolution.  Every coefficient must come out non-negative and divisible
-    by 2^k; a failure means ``a`` was not the enumerator of a linear code.
+    Computes 2^{-k} * sum_w A_w (1-X)^w (1+X)^{n-w} exactly, as one big int:
+    the sum is evaluated at X = B = 2^W by Horner's rule in w, where a factor
+    1 - B or 1 + B is a shift and a subtraction or addition.  Before the
+    division, |coefficient of X^j| <= sum_w |A_w| C(n, j) < 2^{W-1} for
+    W >= n + bits(sum_w |A_w|) + 1 (n + k + 2 for a code), so adding 2^{W-1}
+    to every slot makes each slot non-negative and the slots decode without
+    carries, whatever the signs.  Every coefficient must come out
+    non-negative and divisible by 2^k; a failure means ``a`` was not the
+    enumerator of a linear code.
     """
 
     if a.degree > n:
@@ -123,13 +132,19 @@ def macwilliams(a: WeightEnumerator, n: int, k: int) -> WeightEnumerator:
         raise ValueError(
             f"enumerator sums to {a.eval_at_one()}, expected 2^{k} codewords"
         )
-    acc = [0] * (n + 1)
-    for w, aw in a.items():
-        minus = [(-1) ** i * comb(w, i) for i in range(w + 1)]
-        plus = [comb(n - w, j) for j in range(n - w + 1)]
-        for i, ci in enumerate(minus):
-            for j, cj in enumerate(plus):
-                acc[i + j] += aw * ci * cj
+    bits = n + sum(abs(c) for c in a.coeffs).bit_length() + 1
+    width = -(-bits // 8) * 8
+    # h = sum_{w >= j} A_w (1-B)^{w-j} (1+B)^{n-w} for j = n, n-1, ..., 0
+    h = 0
+    plus = 1  # (1+B)^{n-j}
+    for j in range(n, -1, -1):
+        h = h - (h << width) + a.coeff(j) * plus
+        plus += plus << width
+    half = 1 << width - 1
+    bias = half * (((1 << (n + 1) * width) - 1) // ((1 << width) - 1))
+    step = width // 8
+    raw = (h + bias).to_bytes((n + 1) * step, "little")
+    acc = [int.from_bytes(raw[i : i + step], "little") - half for i in range(0, len(raw), step)]
     scale = 1 << k
     out = []
     for w, c in enumerate(acc):

@@ -13,7 +13,7 @@ from polarwd import (
     from_unfrozen_set,
     wef_direct,
 )
-from polarwd.coset import _split, affine_sum, calc_a
+from polarwd.coset import _rref, _split, affine_sum, calc_a
 from polarwd.oracle import brute_force_coset_wef
 
 from conftest import HAMMING16_WEF
@@ -229,3 +229,55 @@ class TestAffineSum:
             cache = CosetCache(max_entries=4)
             assert wef_direct(spec, cache=cache) == expected
             assert len(cache) <= 4
+            assert 0 < len(cache.plans) <= 4
+
+    def test_plan_shared_across_block_lengths(self):
+        # a plan depends on (length, basis) only, so block lengths share it
+        rng = random.Random(13)
+        shared = CosetCache()
+        for _ in range(12):
+            length = rng.randrange(1, 9)
+            basis = tuple(_rref(rng.getrandbits(length) for _ in range(rng.randrange(4))))
+            offset = rng.getrandbits(length)
+            for n in (16, 32, 64):
+                assert affine_sum(n, length, offset, basis, shared) == affine_sum(
+                    n, length, offset, basis, CosetCache()
+                )
+            assert (length, basis) in shared.plans
+
+
+class TestEdges:
+    """The smallest block lengths, and the largest coefficients at n = 128."""
+
+    def test_full_free_set_at_n128(self):
+        full = WeightEnumerator.binomial(128)
+        assert affine_sum(128, 0, 0) == full
+        assert affine_sum(128, 128, 0, [1 << i for i in range(128)]) == full
+        assert affine_sum(128, 1, 0) + affine_sum(128, 1, 1) == full
+
+    def test_n1_base_cases(self):
+        one, x = WeightEnumerator.one(), WeightEnumerator.x()
+        assert affine_sum(1, 0, 0) == one + x
+        assert affine_sum(1, 1, 0) == one
+        assert affine_sum(1, 1, 1) == x
+        assert affine_sum(1, 1, 0, [1]) == one + x
+
+    def test_n2_base_cases(self):
+        # u = (u0, u1) encodes to (u0 ^ u1, u1): 00 -> 00, 10 -> 10, 01 -> 11, 11 -> 01
+        cases = {
+            (0, 0, ()): [1, 2, 1],
+            (1, 0, ()): [1, 0, 1],
+            (1, 1, ()): [0, 2],
+            (1, 0, (1,)): [1, 2, 1],
+            (2, 0, ()): [1],
+            (2, 1, ()): [0, 1],
+            (2, 2, ()): [0, 0, 1],
+            (2, 3, ()): [0, 1],
+            (2, 0, (3,)): [1, 1],
+            (2, 1, (2,)): [0, 2],
+            (2, 2, (1,)): [0, 1, 1],
+            (2, 0, (1, 2)): [1, 2, 1],
+        }
+        for (length, offset, basis), coeffs in cases.items():
+            assert affine_sum(2, length, offset, basis) == WeightEnumerator(coeffs)
+            assert affine_sum(2, length, offset, basis, CosetCache()).coeffs == coeffs

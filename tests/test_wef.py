@@ -1,3 +1,6 @@
+import random
+from math import comb
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -116,4 +119,56 @@ class TestMacWilliams:
     def test_nonlinear_input_rejected(self):
         # 2 words of weight 1 but none of weight 0: not a linear code
         with pytest.raises(ValueError):
+            macwilliams(WeightEnumerator([0, 2]), 2, 1)
+
+
+def macwilliams_reference(a, n, k):
+    """The transform by binomial convolution on coefficient lists."""
+
+    acc = [0] * (n + 1)
+    for w, aw in a.items():
+        minus = [(-1) ** i * comb(w, i) for i in range(w + 1)]
+        plus = [comb(n - w, j) for j in range(n - w + 1)]
+        for i, ci in enumerate(minus):
+            for j, cj in enumerate(plus):
+                acc[i + j] += aw * ci * cj
+    assert all(c >= 0 and c % (1 << k) == 0 for c in acc)
+    return WeightEnumerator([c >> k for c in acc])
+
+
+def random_code_wef(rng, n, k):
+    """Enumerator of a random systematic (n, k) code, over its 2^k words."""
+
+    rows = [1 << i | rng.getrandbits(n - k) << k for i in range(k)]
+    counts = [0] * (n + 1)
+    word = 0
+    counts[0] += 1
+    for t in range(1, 1 << k):
+        word ^= rows[(t & -t).bit_length() - 1]
+        counts[word.bit_count()] += 1
+    return WeightEnumerator(counts)
+
+
+class TestPackedMacWilliams:
+    def test_matches_reference_on_random_codes(self):
+        rng = random.Random(17)
+        for n in (8, 9, 16, 31, 32, 64, 100, 128):
+            for _ in range(3):
+                k = rng.randrange(1, min(n, 10))
+                a = random_code_wef(rng, n, k)
+                assert macwilliams(a, n, k) == macwilliams_reference(a, n, k)
+
+    def test_negative_intermediate_terms_cancel(self):
+        # (1 - X)^128 has negative odd coefficients, which (1 + X)^128 cancels:
+        # the dual of the repetition code is the even-weight code
+        even = WeightEnumerator([comb(128, j) if j % 2 == 0 else 0 for j in range(129)])
+        assert macwilliams(WeightEnumerator.monomial(128) + WeightEnumerator.one(), 128, 1) == even
+        assert macwilliams(even, 128, 127) == WeightEnumerator([1] + [0] * 127 + [1])
+
+    def test_negative_coefficient_decoded_exactly(self):
+        # 64 X: 64 (1 - X)(1 + X)^63 first goes negative at X^33
+        c = 64 * (comb(63, 33) - comb(63, 32))
+        with pytest.raises(ValueError, match=f"X\\^33 is {c}, not"):
+            macwilliams(WeightEnumerator.monomial(1, 64), 64, 6)
+        with pytest.raises(ValueError, match="X\\^2 is -2, not"):
             macwilliams(WeightEnumerator([0, 2]), 2, 1)
