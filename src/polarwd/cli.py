@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from typing import Optional
 
 from .codespec import CodeSpec, dual_spec, profile, spec_from_json, spec_to_json
@@ -111,19 +112,9 @@ def _cmd_wef(args: argparse.Namespace) -> int:
 
 def _cmd_cost(args: argparse.Namespace) -> int:
     spec = _load_spec(args.spec)
-    cost = estimate_cost(spec)
-    payload = {
-        "n": spec.n,
-        "k": spec.k,
-        "direct_cosets": str(cost.direct_cosets),
-        "lta_cosets": None if cost.lta_cosets is None else str(cost.lta_cosets),
-        "dual_direct_cosets": (
-            None if cost.dual_direct_cosets is None else str(cost.dual_direct_cosets)
-        ),
-        "dual_lta_cosets": (
-            None if cost.dual_lta_cosets is None else str(cost.dual_lta_cosets)
-        ),
-    }
+    payload: dict = {"n": spec.n, "k": spec.k}
+    for key, count in asdict(estimate_cost(spec)).items():
+        payload[key] = None if count is None else str(count)
     _emit(payload, args.out)
     return EXIT_OK
 

@@ -10,7 +10,9 @@ halves of the codeword, not with 2^gamma.  The reduced route repeatedly
 freezes the first unfrozen row f: the subsets where f is frozen to 1 and the
 single-shift-related red rows take all values form one orbit of the
 lower-triangular affine group, so a single coset enumerator stands for
-2^{|S|} of them.  Evaluation is single-threaded.
+2^{|S|} of them.  Each orbit's representatives are again one affine prefix
+set (offset 1 << f, spanned by the unit vectors of its free red rows), so
+``affine_sum`` sums each orbit directly.  Evaluation is single-threaded.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .codespec import CodeSpec, FreezeConstraint, Profile, dual_spec, profile
+from .codespec import CodeSpec, Profile, dual_spec, profile
 from .coset import CosetCache, affine_sum, calc_a
 from .monomials import Monomial, single_shift_le
 from .wef import WeightEnumerator, macwilliams
@@ -83,32 +85,36 @@ def _orbits(m: int, red: Sequence[int]) -> list[tuple[int, tuple[int, ...], int]
     return orbits
 
 
-def _lta_coset_count(spec: CodeSpec, prof: Profile) -> int:
+def _lta_coset_count(orbits: Sequence[tuple[int, tuple[int, ...], int]]) -> int:
     """Cosets the reduced route evaluates: 2^{|free|} per orbit, plus the
-    all-zero coset left once every red row is peeled (none for rate one)."""
+    all-zero coset left once every red row is peeled."""
 
-    if prof.s is None:
-        return 0
-    return 1 + sum(1 << len(free) for _, free, _ in _orbits(spec.m, prof.red))
+    return 1 + sum(1 << len(free) for _, free, _ in orbits)
+
+
+def _lta_cosets(spec: CodeSpec, prof: Profile) -> Optional[int]:
+    """The reduced route's coset count on a plain spec: None unless the spec
+    is decreasing, 0 for rate one."""
+
+    if not spec.is_decreasing_code():
+        return None
+    return 0 if prof.s is None else _lta_coset_count(_orbits(spec.m, prof.red))
 
 
 def estimate_cost(spec: CodeSpec) -> CostEstimate:
     """Coset counts for direct, reduced, and dual strategies, where defined."""
 
     prof = profile(spec)
-    direct = 1 << prof.gamma
-    lta = None
-    if spec.is_plain and spec.is_decreasing_code():
-        lta = _lta_coset_count(spec, prof)
-    dual_direct = None
-    dual_lta = None
-    if spec.is_plain:
-        dual = dual_spec(spec)
-        dual_prof = profile(dual)
-        dual_direct = 1 << dual_prof.gamma
-        if dual.is_decreasing_code():
-            dual_lta = _lta_coset_count(dual, dual_prof)
-    return CostEstimate(direct, lta, dual_direct, dual_lta)
+    if not spec.is_plain:
+        return CostEstimate(1 << prof.gamma)
+    dual = dual_spec(spec)
+    dual_prof = profile(dual)
+    return CostEstimate(
+        1 << prof.gamma,
+        _lta_cosets(spec, prof),
+        1 << dual_prof.gamma,
+        _lta_cosets(dual, dual_prof),
+    )
 
 
 def _coset_prefix(spec: CodeSpec, prof: Profile, assignment: int) -> int:
@@ -168,17 +174,6 @@ def wef_direct(
     return result
 
 
-def _orbit_spec(spec: CodeSpec, red: Sequence[int], f: int, free: Sequence[int]) -> CodeSpec:
-    """``spec`` with f frozen to 1 and every other red row outside ``free`` to 0."""
-
-    statuses = list(spec.statuses)
-    keep = set(free)
-    for i in red:
-        if i not in keep:
-            statuses[i] = FreezeConstraint(i, constant=int(i == f))
-    return CodeSpec(spec.m, tuple(statuses), spec.label)
-
-
 def wef_lta(
     spec: CodeSpec,
     *,
@@ -189,9 +184,12 @@ def wef_lta(
 ) -> WeightEnumerator:
     """Reduced-complexity enumerator for plain decreasing monomial codes.
 
-    Each orbit of ``_orbits`` is evaluated once on the direct route and
-    counted 2^{|S|} times; the all-zero coset completes the sum.  Raises
-    AssertionError if the cosets evaluated differ from the prediction.
+    Each orbit of ``_orbits`` is one affine prefix set, offset 1 << f plus
+    the span of its free red rows' unit vectors; its ``affine_sum`` is
+    counted 2^{|S|} times, and the all-zero coset completes the sum.  The
+    cosets of each orbit are counted off its sum (a coset with an (s+1)-bit
+    prefix holds 2^{n-1-s} words); raises AssertionError if their total
+    differs from the prediction.
     """
 
     if not spec.is_plain:
@@ -202,7 +200,7 @@ def wef_lta(
     if prof.s is None:
         return WeightEnumerator.binomial(spec.n)
     orbits = _orbits(spec.m, prof.red)
-    predicted = 1 + sum(1 << len(free) for _, free, _ in orbits)
+    predicted = _lta_coset_count(orbits)
     if predicted > budget:
         raise BudgetExceeded(f"reduced route needs {predicted} cosets, budget is {budget}")
     if stats is None:
@@ -211,24 +209,20 @@ def wef_lta(
         cache = CosetCache()
 
     start = stats.cosets_evaluated
+    tail_bits = spec.n - 1 - prof.s  # information bits every coset leaves free
     acc = WeightEnumerator.zero()
     for f, free, shifts in orbits:
-        orbit_progress = None
-        if progress is not None:
-            done = stats.cosets_evaluated - start
-            orbit_progress = lambda d, _total, done=done: progress(done + d, predicted)
-        c_wef = wef_direct(
-            _orbit_spec(spec, prof.red, f, free),
-            cache=cache,
-            budget=budget,
-            stats=stats,
-            progress=orbit_progress,
-        )
+        c_wef = affine_sum(spec.n, prof.s + 1, 1 << f, [1 << i for i in free], cache)
+        stats.cosets_evaluated += c_wef.eval_at_one() >> tail_bits
         acc = acc + c_wef.scale(1 << shifts)
+        if progress is not None:
+            progress(stats.cosets_evaluated - start, predicted)
     # every red row frozen to 0, and u_s = 0 because the spec is plain
     acc = acc + calc_a(spec.n, (0,) * prof.s, cache)[0]
     stats.cosets_evaluated += 1
     evaluated = stats.cosets_evaluated - start
+    if progress is not None:
+        progress(evaluated, predicted)
     if evaluated != predicted:
         raise AssertionError(f"reduced route evaluated {evaluated} cosets, predicted {predicted}")
     return acc

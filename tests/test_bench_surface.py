@@ -1,0 +1,49 @@
+"""The program surface the benchmark in ``perfbench/`` reads.
+
+The benchmark's tracer wraps named callables and its self-test checks that
+they are restored; a rename in ``polarwd`` breaks both without failing any
+other test.  The full ``perfbench/run.py --selftest`` takes seconds, so this
+checks only the names.
+"""
+
+import importlib.util
+import inspect
+from pathlib import Path
+
+import pytest
+
+import polarwd.cli
+import polarwd.engine
+
+SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+SPANS = _load_spans()
+
+
+@pytest.mark.parametrize(
+    "name, owner, attr",
+    SPANS.SPANS + SPANS.COUNTS,
+    ids=[name for name, _, _ in SPANS.SPANS + SPANS.COUNTS],
+)
+def test_traced_callable_resolves(name, owner, attr):
+    if isinstance(owner, type):
+        assert callable(vars(owner).get(attr)), f"{owner.__name__}.{attr}"
+    else:
+        assert callable(getattr(owner, attr, None)), f"{owner.__name__}.{attr}"
+
+
+def test_selftest_bindings():
+    assert callable(polarwd.engine.calc_a)
+    assert callable(polarwd.cli.wef_auto)
+
+
+def test_wef_direct_accepts_threads():
+    assert "threads" in inspect.signature(polarwd.engine.wef_direct).parameters

@@ -58,6 +58,15 @@ class TestWef:
         lines = [l for l in err.splitlines() if l.startswith("PROGRESS ")]
         assert lines and lines[-1] == "PROGRESS 16/16"
 
+    def test_lta_progress_ends_at_prediction(self, capsys, hamming16_file):
+        # the last line counts the all-zero coset that completes the sum
+        code, _, err = invoke(
+            capsys, "wef", "--spec", hamming16_file, "--strategy", "lta", "--progress"
+        )
+        assert code == 0
+        lines = [l for l in err.splitlines() if l.startswith("PROGRESS ")]
+        assert lines == [f"PROGRESS {d}/5" for d in range(1, 6)]
+
     def test_budget_refusal_exit_2(self, capsys, hamming16_file):
         code, _, err = invoke(
             capsys, "wef", "--spec", hamming16_file, "--budget", "2"
@@ -218,13 +227,22 @@ class TestFuzzedSpecs:
 
 
 class TestOtherCommands:
-    def test_cost(self, capsys, hamming16_file):
-        code, out, _ = invoke(capsys, "cost", "--spec", hamming16_file)
-        payload = json.loads(out)
-        assert code == 0
-        assert payload["direct_cosets"] == "16"
-        assert payload["lta_cosets"] == "5"
-        assert payload["dual_lta_cosets"] == "3"
+    def test_cost(self, capsys, hamming16_file, tmp_path):
+        assert invoke(capsys, "cost", "--spec", hamming16_file) == (
+            0,
+            '{\n  "n": 16,\n  "k": 11,\n  "direct_cosets": "16",\n  "lta_cosets": "5",\n'
+            '  "dual_direct_cosets": "4",\n  "dual_lta_cosets": "3"\n}\n',
+            "",
+        )
+        # not decreasing, nor is its dual: both reduced routes are undefined
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"m": 4, "unfrozen": [3, 15]}))
+        assert invoke(capsys, "cost", "--spec", str(path)) == (
+            0,
+            '{\n  "n": 16,\n  "k": 2,\n  "direct_cosets": "2",\n  "lta_cosets": null,\n'
+            '  "dual_direct_cosets": "2048",\n  "dual_lta_cosets": null\n}\n',
+            "",
+        )
 
     def test_mixing_factor(self, capsys, hamming16_file):
         assert invoke(capsys, "mixing-factor", "--spec", hamming16_file) == (0, "4\n", "")

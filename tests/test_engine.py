@@ -22,7 +22,6 @@ from polarwd.engine import (
     BudgetExceeded,
     EngineStats,
     _coset_prefix,
-    _orbit_spec,
     _orbits,
 )
 
@@ -82,7 +81,10 @@ class TestDirect:
         # halves at every top-level dimension, so no grouping applies there
         red = profile(polar128_spec).red
         free = next(fr for f, fr, _ in _orbits(7, red) if f == 30)
-        orbit = _orbit_spec(polar128_spec, red, 30, free)
+        orbit = polar128_spec.with_frozen(30, 1)
+        for i in red:
+            if i != 30 and i not in free:
+                orbit = orbit.with_frozen(i, 0)
         tail = profile(orbit).red[10:]
         box = orbit
         for j, i in enumerate(tail):
@@ -120,9 +122,9 @@ class TestLta:
         assert estimate_cost(hamming16_spec).lta_cosets == 5
 
     def test_evaluated_cosets_checked_against_prediction(self, hamming16_spec, monkeypatch):
-        # an orbit evaluation that does not count its cosets breaks the tally
+        # an orbit sum that misses its cosets breaks the tally read off it
         monkeypatch.setattr(
-            "polarwd.engine.wef_direct", lambda spec, **_: WeightEnumerator.zero()
+            "polarwd.engine.affine_sum", lambda *_: WeightEnumerator.zero()
         )
         with pytest.raises(AssertionError, match="predicted 5"):
             wef_lta(hamming16_spec)
