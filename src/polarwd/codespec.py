@@ -8,7 +8,8 @@ convolutional precoding, and arbitrary binary linear codes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -58,7 +59,11 @@ class Profile:
 
 @dataclass(frozen=True)
 class CodeSpec:
-    """An immutable length-2^m code: per-index freeze status plus a label."""
+    """An immutable length-2^m code: per-index freeze status plus a label.
+
+    Whether the unfrozen set is decreasing, and the dual, are worked out once
+    per instance: route selection and the routes themselves both ask.
+    """
 
     m: int
     statuses: tuple[Optional[FreezeConstraint], ...]
@@ -98,8 +103,18 @@ class CodeSpec:
         return [Monomial.from_row_index(i, self.m) for i in self.unfrozen]
 
     def is_decreasing_code(self) -> bool:
+        return self._decreasing
+
+    @cached_property
+    def _decreasing(self) -> bool:
         ok, _ = is_decreasing(self.unfrozen_monomials())
         return ok
+
+    @cached_property
+    def _dual(self) -> "CodeSpec":
+        unfrozen = {self.n - 1 - i for i in self.frozen}
+        label = f"dual({self.label})" if self.label else ""
+        return from_unfrozen_set(self.m, unfrozen, label)
 
     def with_frozen(
         self, index: int, constant: int, support: Iterable[int] = ()
@@ -183,8 +198,8 @@ def from_bhattacharyya_bec(m: int, k: int, erasure: float) -> CodeSpec:
     ranked = sorted(range(n), key=lambda i: (zs[i], -i))
     unfrozen = ranked[:k]
     spec = from_unfrozen_set(m, unfrozen, label=f"bec(m={m},k={k})")
-    ok, witness = is_decreasing(spec.unfrozen_monomials())
-    if not ok:
+    if not spec.is_decreasing_code():
+        _, witness = is_decreasing(spec.unfrozen_monomials())
         raise ValueError(
             f"BEC construction produced a non-decreasing set; witness {witness}"
         )
@@ -277,14 +292,14 @@ def pac_spec(m: int, rate_profile: Iterable[int], conv_taps: Sequence[int]) -> C
 
 
 def dual_spec(spec: CodeSpec) -> CodeSpec:
-    """Dual of a plain spec: complement the frozen set and reflect indices."""
+    """Dual of a plain spec: complement the frozen set and reflect indices.
+
+    Built once per spec; later calls return the same object.
+    """
 
     if not spec.is_plain:
         raise ValueError("duals are only defined for plain specs here")
-    n = spec.n
-    unfrozen = {n - 1 - i for i in spec.frozen}
-    label = f"dual({spec.label})" if spec.label else ""
-    return from_unfrozen_set(spec.m, unfrozen, label)
+    return spec._dual
 
 
 def _json_m(obj: dict) -> int:

@@ -16,18 +16,31 @@ K_w = {b : (0, b) in its span}, the set is a disjoint union of 2^m boxes
 
     sum over t of  sum(a_t + K_v) * sum(b_t + K_w),
 
-2^m products of half-length affine sums.  A single coset is the dimension-0
-case, and the base case at n = 1 is 1 for u_0 = 0, X for u_0 = 1.
+2^m terms, each a product of two half-length affine sums.  A single coset is
+the dimension-0 case, and the base case at n = 1 is 1 for u_0 = 0, X for
+u_0 = 1.
 
 The split of the set depends on (length, basis) only, not on the offset, so
 each such pair is split once: its plan (half length, byte count, K_v, K_w,
 mixed generators) is kept in the cache, and a step only splits and reduces
 the offset before walking the boxes.
+
+The sums take few distinct values: the automorphisms that let one coset
+stand for a whole orbit act at every level too, so many sets share one
+enumerator (on a PAC(64) code, 33,940 memoised sets have 27 distinct sums).
+So the recursion is hash-consed.  The cache stores each distinct sum once
+and hands out a small-int id for it.  A step walks its boxes, counts each
+distinct (left id, right id) pair, and adds count x product once per pair;
+products are memoised per id pair, and the whole pair count of a step
+(its "mix") is memoised to the id of its sum, so a step that repeats an
+earlier mix does no arithmetic at all.  A value that finds the value table
+full stands for itself instead of an id, so results stay exact whatever the
+caps.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence, Union
 
 from .wef import WeightEnumerator
 
@@ -40,28 +53,63 @@ CacheKey = tuple[int, tuple[int, int, tuple[int, ...]]]
 # every set with this length and basis, whatever its offset.
 Plan = tuple[int, int, tuple[int, ...], tuple[int, ...], tuple[tuple[int, int], ...]]
 
+# A sum as the recursion passes it around: the id of its stored value, or
+# the enumerator itself when the value table was full.  Id 0 is falsy, so
+# test handles with ``is None``.
+Handle = Union[int, WeightEnumerator]
+
 
 class CosetCache:
-    """Bounded memo tables: the enumerator sums of sub-coset sets, and the
-    split plans of ``_step`` in ``plans``.
+    """Bounded memo tables of the coset recursion, which keeps all its state
+    here and none at module level.
 
-    ``max_entries`` caps each of the two tables, so a full cache holds up to
-    twice that many entries.  Each table stops growing silently at the cap;
-    entries are never mutated after insertion.  ``get``/``put`` serve the
-    sums only; the recursion reads and fills ``plans`` directly.
+    - the sum table (``get``/``put``): set key -> handle of its sum;
+    - the value table: each distinct sum polynomial once, ``values[id]``;
+    - ``plans``: (length, basis) -> split plan of ``_step``;
+    - ``products``: (left id, right id) -> product of the two values;
+    - ``mixes``: a step's distinct (left, right) pairs with their box counts
+      -> handle of the step's sum.
+
+    ``max_entries`` caps each of the five tables.  Each table stops growing
+    silently at the cap and entries are never mutated after insertion.  A
+    value refused by the full value table goes on as its own handle (an
+    enumerator, compared by value), and a refused product or mix is
+    recomputed when next needed, so a full table costs speed, never
+    exactness.  ``len`` counts the sum table; the recursion reads and fills
+    the other tables directly.
     """
 
     def __init__(self, max_entries: int = 1 << 20):
         self.max_entries = max_entries
-        self._table: dict[CacheKey, WeightEnumerator] = {}
+        self._table: dict[CacheKey, Handle] = {}
+        self.values: list[WeightEnumerator] = []
+        self._ids: dict[tuple[int, ...], int] = {}
         self.plans: dict[tuple[int, tuple[int, ...]], Plan] = {}
+        self.products: dict[tuple[int, int], WeightEnumerator] = {}
+        self.mixes: dict[frozenset[tuple[tuple[Handle, Handle], int]], Handle] = {}
 
-    def get(self, key: CacheKey) -> Optional[WeightEnumerator]:
+    def get(self, key: CacheKey) -> Optional[Handle]:
         return self._table.get(key)
 
-    def put(self, key: CacheKey, value: WeightEnumerator) -> None:
+    def put(self, key: CacheKey, value: Handle) -> None:
         if len(self._table) < self.max_entries:
             self._table.setdefault(key, value)
+
+    def intern(self, value: WeightEnumerator) -> Handle:
+        """The id of ``value``'s stored copy; ``value`` itself when it is
+        new and the value table is full."""
+
+        coeffs = tuple(value.coeffs)
+        vid = self._ids.get(coeffs)
+        if vid is None:
+            if len(self.values) >= self.max_entries:
+                return value
+            vid = self._ids[coeffs] = len(self.values)
+            self.values.append(value)
+        return vid
+
+    def value(self, handle: Handle) -> WeightEnumerator:
+        return self.values[handle] if type(handle) is int else handle
 
     def __len__(self) -> int:
         return len(self._table)
@@ -145,7 +193,7 @@ def _plan(length: int, basis: tuple[int, ...]) -> Plan:
 
 def _sum(
     n: int, length: int, offset: int, basis: tuple[int, ...], cache: CosetCache
-) -> WeightEnumerator:
+) -> Handle:
     """Memoised ``_step``; ``basis`` and ``offset`` must be canonical."""
 
     if n == 1:
@@ -158,15 +206,29 @@ def _sum(
     return result
 
 
+def _product(left: Handle, right: Handle, cache: CosetCache) -> WeightEnumerator:
+    """Product of two sums, memoised when both are stored values."""
+
+    if type(left) is not int or type(right) is not int:
+        return cache.value(left) * cache.value(right)
+    pair = (left, right)
+    result = cache.products.get(pair)
+    if result is None:
+        result = cache.values[left] * cache.values[right]
+        if len(cache.products) < cache.max_entries:
+            cache.products[pair] = result
+    return result
+
+
 def _step(
     n: int, length: int, offset: int, basis: tuple[int, ...], cache: CosetCache
-) -> WeightEnumerator:
+) -> Handle:
     """One recursion step: the sum at length n from half-length sums."""
 
     if n == 1:
         if length == 0 or basis:
-            return WeightEnumerator([1, 1])
-        return WeightEnumerator.x() if offset else WeightEnumerator.one()
+            return cache.intern(WeightEnumerator([1, 1]))
+        return cache.intern(WeightEnumerator.x() if offset else WeightEnumerator.one())
     plan = cache.plans.get((length, basis))
     if plan is None:
         plan = _plan(length, basis)
@@ -176,14 +238,32 @@ def _step(
     a, b = _split(offset, nbytes)
     a = _reduce(a, k_v)
     b = _reduce(b, k_w)
-    acc = _sum(n // 2, half, a, k_v, cache) * _sum(n // 2, half, b, k_w, cache)
-    # Gray-code walk over the 2^mixed boxes: one generator flips per step
+    n //= 2
+    pair = (_sum(n, half, a, k_v, cache), _sum(n, half, b, k_w, cache))
+    counts = {pair: 1}
+    # Gray-code walk over the 2^mixed boxes: one generator flips per step;
+    # boxes whose two half-length sums are equal values are counted together
     for t in range(1, 1 << len(mixed)):
         da, db = mixed[(t & -t).bit_length() - 1]
         a ^= da
         b ^= db
-        acc = acc + _sum(n // 2, half, a, k_v, cache) * _sum(n // 2, half, b, k_w, cache)
-    return acc
+        pair = (_sum(n, half, a, k_v, cache), _sum(n, half, b, k_w, cache))
+        counts[pair] = counts.get(pair, 0) + 1
+    # steps whose boxes count the same pairs have the same sum
+    mix = frozenset(counts.items())
+    result = cache.mixes.get(mix)
+    if result is None:
+        # one product per distinct pair, times the boxes that have it
+        acc = None
+        for (left, right), count in counts.items():
+            term = _product(left, right, cache)
+            if count > 1:
+                term = term.scale(count)
+            acc = term if acc is None else acc + term
+        result = cache.intern(acc)
+        if len(cache.mixes) < cache.max_entries:
+            cache.mixes[mix] = result
+    return result
 
 
 def _check_length(n: int, length: int) -> None:
@@ -203,9 +283,9 @@ def affine_sum(
     """Sum of the coset enumerators over the prefix set offset + span(basis).
 
     Prefixes are ``length``-bit ints with bit i = u_i; the set counts each
-    prefix once, so dependent basis vectors are harmless.  Only sums at block
-    lengths below n go into ``cache`` (a private one when None): the engine
-    never asks for the same full-length set twice.
+    prefix once, so dependent basis vectors are harmless.  Only sets at block
+    lengths below n get a sum-table entry in ``cache`` (a private one when
+    None): the engine never asks for the same full-length set twice.
     """
 
     _check_length(n, length)
@@ -214,7 +294,7 @@ def affine_sum(
     if cache is None:
         cache = CosetCache()
     rows = tuple(_rref(basis))
-    return _step(n, length, _reduce(offset, rows), rows, cache)
+    return cache.value(_step(n, length, _reduce(offset, rows), rows, cache))
 
 
 def calc_a(
@@ -236,6 +316,6 @@ def calc_a(
     if cache is None:
         cache = CosetCache()
     return (
-        _step(n, length + 1, p, (), cache),
-        _step(n, length + 1, p | 1 << length, (), cache),
+        cache.value(_step(n, length + 1, p, (), cache)),
+        cache.value(_step(n, length + 1, p | 1 << length, (), cache)),
     )

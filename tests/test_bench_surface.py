@@ -3,7 +3,8 @@
 The benchmark's tracer wraps named callables and its self-test checks that
 they are restored; a rename in ``polarwd`` breaks both without failing any
 other test.  The full ``perfbench/run.py --selftest`` takes seconds, so this
-checks only the names.
+checks the names, and that the coset recursion still passes through the two
+callables the tracer counts it by.
 """
 
 import importlib.util
@@ -14,6 +15,8 @@ import pytest
 
 import polarwd.cli
 import polarwd.engine
+from polarwd import CosetCache, WeightEnumerator
+from polarwd.coset import affine_sum
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -47,3 +50,24 @@ def test_selftest_bindings():
 
 def test_wef_direct_accepts_threads():
     assert "threads" in inspect.signature(polarwd.engine.wef_direct).parameters
+
+
+def test_recursion_reaches_traced_callables(monkeypatch):
+    # the tracer sees the recursion only through these two; its self-test
+    # asserts that products were counted
+    calls = {"get": 0, "mul": 0}
+    get, mul = CosetCache.get, WeightEnumerator.__mul__
+
+    def counted_get(self, key):
+        calls["get"] += 1
+        return get(self, key)
+
+    def counted_mul(self, other):
+        calls["mul"] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(CosetCache, "get", counted_get)
+    monkeypatch.setattr(WeightEnumerator, "__mul__", counted_mul)
+    # two 3-bit prefixes, 2^5 words each
+    assert affine_sum(8, 3, 1, [2], CosetCache()).eval_at_one() == 2 << 5
+    assert calls["get"] > 0 and calls["mul"] > 0

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import polarwd.codespec
 from polarwd import WeightEnumerator
 from polarwd.cli import run
 
@@ -66,6 +67,27 @@ class TestWef:
         assert code == 0
         lines = [l for l in err.splitlines() if l.startswith("PROGRESS ")]
         assert lines == [f"PROGRESS {d}/5" for d in range(1, 6)]
+
+    @pytest.mark.parametrize(
+        "obj, route",
+        [
+            ({"construction": "rm", "r": 2, "m": 5}, "lta"),
+            ({"construction": "bec", "m": 6, "k": 40, "erasure": 0.5}, "dual+lta"),
+        ],
+    )
+    def test_decreasing_checked_once_per_spec(self, capsys, tmp_path, monkeypatch, obj, route):
+        # construction, cost estimate and route all ask; the spec and its
+        # dual are each checked once
+        calls = []
+        check = polarwd.codespec.is_decreasing
+        monkeypatch.setattr(
+            "polarwd.codespec.is_decreasing", lambda monos: calls.append(1) or check(monos)
+        )
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(obj))
+        code, out, _ = invoke(capsys, "wef", "--spec", str(path), "--allow-dual")
+        assert code == 0 and json.loads(out)["route"] == route
+        assert len(calls) == 2
 
     def test_budget_refusal_exit_2(self, capsys, hamming16_file):
         code, _, err = invoke(

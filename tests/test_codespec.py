@@ -190,6 +190,14 @@ class TestDual:
         with pytest.raises(ValueError):
             dual_spec(spec)
 
+    def test_built_once_per_spec(self, hamming16_spec):
+        dual = dual_spec(hamming16_spec)
+        assert dual_spec(hamming16_spec) is dual
+        # the memo is no part of the value: equality and hashing ignore it
+        fresh = from_unfrozen_set(4, HAMMING16_UNFROZEN)
+        assert fresh == hamming16_spec and hash(fresh) == hash(hamming16_spec)
+        assert fresh.is_decreasing_code() and dual.is_decreasing_code()
+
 
 class TestJson:
     def test_plain_round_trip(self, hamming16_spec):

@@ -8,15 +8,21 @@ from hypothesis import strategies as st
 from polarwd import (
     CosetCache,
     WeightEnumerator,
+    brute_force_wef,
     from_bhattacharyya_bec,
     from_rm,
     from_unfrozen_set,
+    pac_spec,
     wef_direct,
 )
-from polarwd.coset import _rref, _split, affine_sum, calc_a
+from polarwd.coset import _rref, _split, _sum, affine_sum, calc_a
 from polarwd.oracle import brute_force_coset_wef
 
 from conftest import HAMMING16_WEF
+
+# PAC(32,16): RM(2,5) rate profile under the taps 1011011; k = 16 keeps the
+# brute-force oracle quick
+PAC32 = pac_spec(5, from_rm(2, 5).unfrozen, [1, 0, 1, 1, 0, 1, 1])
 
 
 class TestEvenOddTransform:
@@ -225,11 +231,23 @@ class TestAffineSum:
         for spec, expected in [
             (hamming16_spec, HAMMING16_WEF),
             (from_bhattacharyya_bec(6, 20, 0.4), wef_direct(from_bhattacharyya_bec(6, 20, 0.4))),
+            (PAC32, brute_force_wef(PAC32)),
         ]:
             cache = CosetCache(max_entries=4)
             assert wef_direct(spec, cache=cache) == expected
             assert len(cache) <= 4
             assert 0 < len(cache.plans) <= 4
+            assert 0 < len(cache.values) <= 4
+            assert len(cache.products) <= 4 and len(cache.mixes) <= 4
+            # every table full or not, and values past the cap are carried as
+            # enumerators, not ids
+            for cap in (0, 1):
+                cache = CosetCache(max_entries=cap)
+                assert wef_direct(spec, cache=cache) == expected
+                tables = (
+                    cache._table, cache.values, cache.plans, cache.products, cache.mixes
+                )
+                assert all(len(table) <= cap for table in tables)
 
     def test_plan_shared_across_block_lengths(self):
         # a plan depends on (length, basis) only, so block lengths share it
@@ -281,3 +299,67 @@ class TestEdges:
         for (length, offset, basis), coeffs in cases.items():
             assert affine_sum(2, length, offset, basis) == WeightEnumerator(coeffs)
             assert affine_sum(2, length, offset, basis, CosetCache()).coeffs == coeffs
+
+
+class TestHashConsing:
+    """The cache stores each distinct sum once and multiplies each distinct
+    pair of stored sums once."""
+
+    def test_equal_sums_share_one_value(self):
+        # u = (1, 0) and (1, 1) both encode to weight-1 words at n = 2
+        cache = CosetCache()
+        first, second = _sum(2, 2, 1, (), cache), _sum(2, 2, 3, (), cache)
+        assert {(2, (2, 1, ())), (2, (2, 3, ()))} <= cache._table.keys()
+        assert type(first) is int and first == second
+        assert cache.value(first) == WeightEnumerator([0, 1])
+        assert cache.values.count(WeightEnumerator([0, 1])) == 1
+
+    def test_id_zero_is_a_hit(self, monkeypatch):
+        # u = (0, 0) at n = 2 sums to 1, the value of its halves, stored
+        # first; its id 0 must read as a hit
+        cache = CosetCache()
+        assert _sum(2, 2, 0, (), cache) == 0 == cache.get((2, (2, 0, ())))
+        monkeypatch.setattr(CosetCache, "put", lambda *_: pytest.fail("recomputed"))
+        assert _sum(2, 2, 0, (), cache) == 0
+
+    def test_values_stored_once(self):
+        cache = CosetCache()
+        assert wef_direct(PAC32, cache=cache) == brute_force_wef(PAC32)
+        assert len(set(map(tuple, (v.coeffs for v in cache.values)))) == len(cache.values)
+        assert all(type(handle) is int for handle in cache._table.values())
+        assert len(cache.values) < len(cache)
+
+    def test_each_operand_pair_multiplied_once(self, monkeypatch):
+        pairs = []
+        multiply = WeightEnumerator.__mul__
+
+        def spy(left, right):
+            pairs.append((tuple(left.coeffs), tuple(right.coeffs)))
+            return multiply(left, right)
+
+        monkeypatch.setattr(WeightEnumerator, "__mul__", spy)
+        cache = CosetCache()
+        expected = brute_force_wef(PAC32)
+        # the two halves of the code (red row 7 pinned) share one cache and its products
+        total = sum(
+            (wef_direct(PAC32.with_frozen(7, value), cache=cache) for value in (0, 1)),
+            WeightEnumerator.zero(),
+        )
+        assert total == expected
+        assert pairs and len(set(pairs)) == len(pairs)
+        assert len(pairs) == len(cache.products)
+
+    def test_repeated_mix_costs_no_arithmetic(self, monkeypatch):
+        # the top-level step of a repeated set counts the same pairs again
+        cache = CosetCache()
+        first = wef_direct(PAC32, cache=cache)
+        calls = []
+        for name in ("__mul__", "__add__", "scale"):
+            method = getattr(WeightEnumerator, name)
+            monkeypatch.setattr(
+                WeightEnumerator,
+                name,
+                lambda *args, _m=method, _n=name: calls.append(_n) or _m(*args),
+            )
+        assert wef_direct(PAC32, cache=cache) == first
+        assert calls == []

@@ -21,6 +21,7 @@ from polarwd.coset import calc_a
 from polarwd.engine import (
     BudgetExceeded,
     EngineStats,
+    StrategyInadmissible,
     _coset_prefix,
     _orbits,
 )
@@ -132,6 +133,13 @@ class TestLta:
     def test_non_decreasing_rejected(self):
         spec = from_unfrozen_set(4, [3, 15])  # x2x3 without its predecessors
         with pytest.raises(ValueError):
+            wef_lta(spec)
+
+    def test_non_decreasing_rejected_after_estimate(self):
+        # the spec remembers the check, and still refuses
+        spec = from_unfrozen_set(4, [3, 15])
+        assert estimate_cost(spec).lta_cosets is None
+        with pytest.raises(StrategyInadmissible):
             wef_lta(spec)
 
     def test_dynamic_rejected(self):
