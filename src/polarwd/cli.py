@@ -9,6 +9,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict
@@ -183,7 +184,11 @@ def _add_out_arg(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, help="write the result here instead of stdout")
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as it
+    was, so every ``run`` can share it."""
+
     parser = argparse.ArgumentParser(
         prog="polarwd",
         description="Exact weight distributions of polar and decreasing monomial codes",
@@ -237,9 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:

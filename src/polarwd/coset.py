@@ -20,10 +20,13 @@ K_w = {b : (0, b) in its span}, the set is a disjoint union of 2^m boxes
 the dimension-0 case, and the base case at n = 1 is 1 for u_0 = 0, X for
 u_0 = 1.
 
-The split of the set depends on (length, basis) only, not on the offset, so
-each such pair is split once: its plan (half length, byte count, K_v, K_w,
-mixed generators) is kept in the cache, and a step only splits and reduces
-the offset before walking the boxes.
+The split of a set depends on (n, length, basis) only, not on its offset.
+So the cache holds one node per such triple: its split plan (K_v, K_w and
+the mixed generators), its two child nodes (n/2, half, K_v) and
+(n/2, half, K_w), and a dict from reduced offset to the handle of that
+set's sum.  A step splits one offset into its halves, 16 prefix bits at a
+time through two 64 KiB tables, reduces them, then walks its boxes against
+the children's dicts, each lookup keyed by one int.
 
 The sums take few distinct values: the automorphisms that let one coset
 stand for a whole orbit act at every level too, so many sets share one
@@ -44,56 +47,86 @@ from typing import Iterable, Optional, Sequence, Union
 
 from .wef import WeightEnumerator
 
-# (n, (length, offset, basis)): the affine set offset + span(basis) of
-# length-bit prefixes at block length n, basis in reduced row echelon form
-# and offset reduced by it, so every set has exactly one key.
-CacheKey = tuple[int, tuple[int, int, tuple[int, ...]]]
-
-# (length, basis) -> (half, nbytes, K_v, K_w, mixed): how ``_step`` splits
-# every set with this length and basis, whatever its offset.
-Plan = tuple[int, int, tuple[int, ...], tuple[int, ...], tuple[tuple[int, int], ...]]
-
 # A sum as the recursion passes it around: the id of its stored value, or
 # the enumerator itself when the value table was full.  Id 0 is falsy, so
 # test handles with ``is None``.
 Handle = Union[int, WeightEnumerator]
 
 
+class _Node:
+    """The affine sets offset + span(basis) of ``length``-bit prefixes at
+    block length n, for every offset: basis in reduced row echelon form, and
+    each offset reduced by it, so every set has exactly one (node, offset).
+
+    ``sums`` maps offsets to the handles of their sums; only a node kept in
+    the cache's node table (``stored``) ever gets an entry.  A node with
+    ``left`` None is the n = 1 base case, outside the sum table; ``free``
+    says whether its one bit runs free.
+    """
+
+    __slots__ = ("sums", "stored", "free", "k_v", "k_w", "low", "high", "left", "right")
+
+    def __init__(self, n: int, length: int, basis: tuple[int, ...], cache: CosetCache):
+        self.sums: dict[int, Handle] = {}
+        self.stored = False
+        self.free = length == 0 or bool(basis)
+        self.left: Optional[_Node] = None
+        self.right: Optional[_Node] = None
+        if n > 1:
+            half, self.k_v, self.k_w, mixed = _plan(length, basis)
+            # (da, db) of every box spanned by the first _LOW generators
+            low = [(0, 0)]
+            for da, db in mixed[:_LOW]:
+                low += [(x ^ da, y ^ db) for x, y in low]
+            self.low = tuple(low)
+            self.high = mixed[_LOW:]
+            self.left = _node(n // 2, half, self.k_v, cache)
+            self.right = _node(n // 2, half, self.k_w, cache)
+
+
 class CosetCache:
     """Bounded memo tables of the coset recursion, which keeps all its state
     here and none at module level.
 
-    - the sum table (``get``/``put``): set key -> handle of its sum;
+    - ``nodes``: (n, length, basis) -> the node of those sets;
+    - the sum table (``get``/``put``): each node's ``sums``, reduced offset
+      -> handle of the set's sum; ``len`` counts its entries over all nodes;
     - the value table: each distinct sum polynomial once, ``values[id]``;
-    - ``plans``: (length, basis) -> split plan of ``_step``;
     - ``products``: (left id, right id) -> product of the two values;
     - ``mixes``: a step's distinct (left, right) pairs with their box counts
       -> handle of the step's sum.
 
-    ``max_entries`` caps each of the five tables.  Each table stops growing
-    silently at the cap and entries are never mutated after insertion.  A
+    ``max_entries`` caps each of the five tables; the sum table is capped
+    as a whole.  Each table stops growing silently at the cap and entries
+    are never mutated after insertion.  A node is stored after its children,
+    so a stored node only refers to stored nodes; a node made when the node
+    table is full serves the one call that made it and stores no sums.  A
     value refused by the full value table goes on as its own handle (an
     enumerator, compared by value), and a refused product or mix is
     recomputed when next needed, so a full table costs speed, never
-    exactness.  ``len`` counts the sum table; the recursion reads and fills
-    the other tables directly.
+    exactness.
     """
 
     def __init__(self, max_entries: int = 1 << 20):
         self.max_entries = max_entries
-        self._table: dict[CacheKey, Handle] = {}
+        self.nodes: dict[tuple[int, int, tuple[int, ...]], _Node] = {}
+        self._sums = 0
         self.values: list[WeightEnumerator] = []
         self._ids: dict[tuple[int, ...], int] = {}
-        self.plans: dict[tuple[int, tuple[int, ...]], Plan] = {}
         self.products: dict[tuple[int, int], WeightEnumerator] = {}
         self.mixes: dict[frozenset[tuple[tuple[Handle, Handle], int]], Handle] = {}
 
-    def get(self, key: CacheKey) -> Optional[Handle]:
-        return self._table.get(key)
+    def get(self, key: tuple[_Node, int]) -> Optional[Handle]:
+        node, offset = key
+        return node.sums.get(offset)
 
-    def put(self, key: CacheKey, value: Handle) -> None:
-        if len(self._table) < self.max_entries:
-            self._table.setdefault(key, value)
+    def put(self, key: tuple[_Node, int], value: Handle) -> None:
+        """Store the sum of a set that ``get`` just missed."""
+
+        node, offset = key
+        if node.stored and self._sums < self.max_entries:
+            node.sums[offset] = value
+            self._sums += 1
 
     def intern(self, value: WeightEnumerator) -> Handle:
         """The id of ``value``'s stored copy; ``value`` itself when it is
@@ -112,7 +145,20 @@ class CosetCache:
         return self.values[handle] if type(handle) is int else handle
 
     def __len__(self) -> int:
-        return len(self._table)
+        return self._sums
+
+
+def _node(n: int, length: int, basis: tuple[int, ...], cache: CosetCache) -> _Node:
+    """The cache's node of (n, length, basis), made with its subtree if new."""
+
+    key = (n, length, basis)
+    node = cache.nodes.get(key)
+    if node is None:
+        node = _Node(n, length, basis, cache)
+        if len(cache.nodes) < cache.max_entries:
+            cache.nodes[key] = node
+            node.stored = True
+    return node
 
 
 def _nibble(byte: int, odd: bool) -> int:
@@ -121,25 +167,35 @@ def _nibble(byte: int, odd: bool) -> int:
     return sum(((byte >> 2 * j + 1 ^ (0 if odd else byte >> 2 * j)) & 1) << j for j in range(4))
 
 
-# translation tables from a prefix byte to the nibble of one half, in the
-# low (even byte) or high (odd byte) nibble of the half's byte
-_XOR_LO = bytes(_nibble(b, False) for b in range(256))
-_XOR_HI = bytes(_nibble(b, False) << 4 for b in range(256))
-_ODD_LO = bytes(_nibble(b, True) for b in range(256))
-_ODD_HI = bytes(_nibble(b, True) << 4 for b in range(256))
+def _table16(odd: bool) -> bytes:
+    """16-bit prefix chunk -> the byte of one half: its low byte's nibble
+    below its high byte's."""
+
+    nibbles = bytes(_nibble(b, odd) for b in range(256))
+    # row hi is the nibble table with ``nibbles[hi] << 4`` or'ed in
+    high = [bytes(x | v << 4 for x in range(256)) for v in range(16)]
+    return b"".join(nibbles.translate(high[nibbles[hi]]) for hi in range(256))
 
 
-def _split(prefix: int, nbytes: int) -> tuple[int, int]:
-    """(even xor odd, odd) halves of an even-length prefix of <= 8 * nbytes bits."""
+# a node lists the boxes spanned by its first _LOW mixed generators, and a
+# step walks the rest by Gray code
+_LOW = 4
 
-    raw = prefix.to_bytes(nbytes, "little")
-    even, odd = raw[0::2], raw[1::2]
-    xored = int.from_bytes(even.translate(_XOR_LO), "little") | int.from_bytes(
-        odd.translate(_XOR_HI), "little"
-    )
-    odds = int.from_bytes(even.translate(_ODD_LO), "little") | int.from_bytes(
-        odd.translate(_ODD_HI), "little"
-    )
+_XOR16 = _table16(False)
+_ODD16 = _table16(True)
+
+
+def _split(prefix: int) -> tuple[int, int]:
+    """(even xor odd, odd) halves of an even-length prefix, or of an
+    odd-length one with its next bit 0."""
+
+    xored = odds = shift = 0
+    while prefix:
+        chunk = prefix & 0xFFFF
+        xored |= _XOR16[chunk] << shift
+        odds |= _ODD16[chunk] << shift
+        prefix >>= 16
+        shift += 8
     return xored, odds
 
 
@@ -163,20 +219,22 @@ def _reduce(x: int, rows: Sequence[int]) -> int:
     """The representative of x + span(rows) with every pivot bit clear."""
 
     for r in rows:
-        x = min(x, x ^ r)
+        if x ^ r < x:
+            x ^= r
     return x
 
 
-def _plan(length: int, basis: tuple[int, ...]) -> Plan:
+def _plan(
+    length: int, basis: tuple[int, ...]
+) -> tuple[int, tuple[int, ...], tuple[int, ...], tuple[tuple[int, int], ...]]:
     """Split of the sets x + span(basis) of ``length``-bit prefixes into
-    half-length kernels and mixed generators."""
+    half-length kernels and mixed generators: (half, K_v, K_w, mixed)."""
 
     half = (length + 1) // 2
-    nbytes = (2 * half + 7) // 8
     low = (1 << half) - 1
     # each vector as b << half | a; at odd length the next bit runs free,
     # one more vector with the top bit set in both halves
-    vectors = [vb << half | va for va, vb in (_split(x, nbytes) for x in basis)]
+    vectors = [vb << half | va for va, vb in map(_split, basis)]
     if length % 2:
         vectors.append(1 << 2 * half - 1 | 1 << half - 1)
     # reduction on the b-side pivots first leaves the rows with b = 0, which
@@ -188,22 +246,7 @@ def _plan(length: int, basis: tuple[int, ...]) -> Plan:
     rows = _rref((r & low) << half | r >> half for r in rows if r > low)
     k_w = tuple(r for r in rows if r <= low)
     mixed = tuple((r >> half, r & low) for r in rows if r > low)
-    return half, nbytes, k_v, k_w, mixed
-
-
-def _sum(
-    n: int, length: int, offset: int, basis: tuple[int, ...], cache: CosetCache
-) -> Handle:
-    """Memoised ``_step``; ``basis`` and ``offset`` must be canonical."""
-
-    if n == 1:
-        return _step(n, length, offset, basis, cache)
-    key = (n, (length, offset, basis))
-    result = cache.get(key)
-    if result is None:
-        result = _step(n, length, offset, basis, cache)
-        cache.put(key, result)
-    return result
+    return half, k_v, k_w, mixed
 
 
 def _product(left: Handle, right: Handle, cache: CosetCache) -> WeightEnumerator:
@@ -220,43 +263,64 @@ def _product(left: Handle, right: Handle, cache: CosetCache) -> WeightEnumerator
     return result
 
 
-def _step(
-    n: int, length: int, offset: int, basis: tuple[int, ...], cache: CosetCache
-) -> Handle:
-    """One recursion step: the sum at length n from half-length sums."""
+def _step(node: _Node, offset: int, cache: CosetCache) -> Handle:
+    """One recursion step: the sum of one of the node's sets from its
+    children's sums."""
 
-    if n == 1:
-        if length == 0 or basis:
+    left, right = node.left, node.right
+    if left is None:
+        if node.free:
             return cache.intern(WeightEnumerator([1, 1]))
         return cache.intern(WeightEnumerator.x() if offset else WeightEnumerator.one())
-    plan = cache.plans.get((length, basis))
-    if plan is None:
-        plan = _plan(length, basis)
-        if len(cache.plans) < cache.max_entries:
-            cache.plans[length, basis] = plan
-    half, nbytes, k_v, k_w, mixed = plan
-    a, b = _split(offset, nbytes)
-    a = _reduce(a, k_v)
-    b = _reduce(b, k_w)
-    n //= 2
-    pair = (_sum(n, half, a, k_v, cache), _sum(n, half, b, k_w, cache))
-    counts = {pair: 1}
-    # Gray-code walk over the 2^mixed boxes: one generator flips per step;
-    # boxes whose two half-length sums are equal values are counted together
-    for t in range(1, 1 << len(mixed)):
-        da, db = mixed[(t & -t).bit_length() - 1]
+    a, b = _split(offset)
+    # ``_reduce`` by K_v and K_w, inline: this runs once per set summed
+    for r in node.k_v:
+        if a ^ r < a:
+            a ^= r
+    for r in node.k_w:
+        if b ^ r < b:
+            b ^= r
+    low, high = node.low, node.high
+    base = left.left is None
+    get, put = cache.get, cache.put
+    counts: dict[tuple[Handle, Handle], int] = {}
+    # the boxes in blocks of ``low``, each block moved by one ``high``
+    # generator (Gray code); boxes whose two half-length sums are equal
+    # values are counted together
+    t = 0
+    while True:
+        for da, db in low:
+            da ^= a
+            db ^= b
+            if base:
+                pair = (_step(left, da, cache), _step(right, db, cache))
+            else:
+                key = (left, da)
+                x = get(key)
+                if x is None:
+                    x = _step(left, da, cache)
+                    put(key, x)
+                key = (right, db)
+                y = get(key)
+                if y is None:
+                    y = _step(right, db, cache)
+                    put(key, y)
+                pair = (x, y)
+            counts[pair] = counts.get(pair, 0) + 1
+        t += 1
+        if t >> len(high):
+            break
+        da, db = high[(t & -t).bit_length() - 1]
         a ^= da
         b ^= db
-        pair = (_sum(n, half, a, k_v, cache), _sum(n, half, b, k_w, cache))
-        counts[pair] = counts.get(pair, 0) + 1
     # steps whose boxes count the same pairs have the same sum
     mix = frozenset(counts.items())
     result = cache.mixes.get(mix)
     if result is None:
         # one product per distinct pair, times the boxes that have it
         acc = None
-        for (left, right), count in counts.items():
-            term = _product(left, right, cache)
+        for (x, y), count in counts.items():
+            term = _product(x, y, cache)
             if count > 1:
                 term = term.scale(count)
             acc = term if acc is None else acc + term
@@ -294,7 +358,7 @@ def affine_sum(
     if cache is None:
         cache = CosetCache()
     rows = tuple(_rref(basis))
-    return cache.value(_step(n, length, _reduce(offset, rows), rows, cache))
+    return cache.value(_step(_node(n, length, rows, cache), _reduce(offset, rows), cache))
 
 
 def calc_a(
@@ -315,7 +379,8 @@ def calc_a(
     p = sum(1 << i for i, b in enumerate(prefix) if b)
     if cache is None:
         cache = CosetCache()
+    node = _node(n, length + 1, (), cache)
     return (
-        cache.value(_step(n, length + 1, p, (), cache)),
-        cache.value(_step(n, length + 1, p | 1 << length, (), cache)),
+        cache.value(_step(node, p, cache)),
+        cache.value(_step(node, p | 1 << length, cache)),
     )

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from enum import Enum
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 
 class Order(Enum):
@@ -210,16 +210,23 @@ def chain_decompose(f: Monomial, g: Monomial) -> Optional[list[Monomial]]:
     return chain
 
 
+def _predecessor_masks(mask: int) -> Iterator[int]:
+    """Masks of the single-shift predecessors of ``mask``: for each variable
+    k ascending, k deleted, then k lowered to each absent j < k ascending."""
+
+    for k in range(mask.bit_length()):
+        if mask >> k & 1:
+            deleted = mask ^ 1 << k
+            yield deleted
+            for j in range(k):
+                if not mask >> j & 1:
+                    yield deleted | 1 << j
+
+
 def immediate_predecessors(g: Monomial) -> list[Monomial]:
     """All f with f single-shift below g: one deletion or one variable lowered."""
 
-    preds = []
-    for k in g.vars:
-        preds.append(Monomial(g.mask ^ (1 << k), g.m))
-        for j in range(k):
-            if not g.mask >> j & 1:
-                preds.append(Monomial(g.mask ^ (1 << k) | (1 << j), g.m))
-    return preds
+    return [Monomial(f, g.m) for f in _predecessor_masks(g.mask)]
 
 
 def is_decreasing(
@@ -235,9 +242,9 @@ def is_decreasing(
     members = list(monomials)
     present = {mono.mask for mono in members}
     for g in members:
-        for f in immediate_predecessors(g):
-            if f.mask not in present:
-                return False, (f, g)
+        for f in _predecessor_masks(g.mask):
+            if f not in present:
+                return False, (Monomial(f, g.m), g)
     return True, None
 
 

@@ -78,7 +78,7 @@ def pytest_configure(config):
 def pytest_collection_modifyitems(config, items):
     if os.environ.get("RUN_FULL_128") == "1":
         return
-    skip = pytest.mark.skip(reason="about 1.5 min; set RUN_FULL_128=1 to enable")
+    skip = pytest.mark.skip(reason="about 1 min; set RUN_FULL_128=1 to enable")
     for item in items:
         if "full128" in item.keywords:
             item.add_marker(skip)

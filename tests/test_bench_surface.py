@@ -16,6 +16,7 @@ import pytest
 import polarwd.cli
 import polarwd.engine
 from polarwd import CosetCache, WeightEnumerator
+from polarwd import from_rm, pac_spec, wef_direct
 from polarwd.coset import affine_sum
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -71,3 +72,24 @@ def test_recursion_reaches_traced_callables(monkeypatch):
     # two 3-bit prefixes, 2^5 words each
     assert affine_sum(8, 3, 1, [2], CosetCache()).eval_at_one() == 2 << 5
     assert calls["get"] > 0 and calls["mul"] > 0
+
+
+def test_traced_cache_counts_pinned(monkeypatch):
+    # the tracer counts the recursion's lookups and stores by wrapping these
+    # two methods by name.  PAC(32,16)'s direct set takes 2,848 lookups (two
+    # per box below the top level) and 340 stores (one per distinct set); a
+    # lookup or store that bypasses the methods changes these counts
+    calls = {"get": 0, "put": 0}
+    for name in calls:
+        method = getattr(CosetCache, name)
+
+        def counted(*args, _m=method, _n=name):
+            calls[_n] += 1
+            return _m(*args)
+
+        monkeypatch.setattr(CosetCache, name, counted)
+    pac32 = pac_spec(5, from_rm(2, 5).unfrozen, [1, 0, 1, 1, 0, 1, 1])
+    cache = CosetCache()
+    wef_direct(pac32, cache=cache)
+    assert calls == {"get": 2848, "put": 340}
+    assert len(cache) == 340

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import polarwd.codespec
 from polarwd import WeightEnumerator
-from polarwd.cli import run
+from polarwd.cli import _parser, run
 
 from conftest import HAMMING16_UNFROZEN
 
@@ -311,6 +311,26 @@ class TestOtherCommands:
 
 
 class TestEntryPoint:
+    def test_parser_built_once_and_reused(self, capsys, hamming16_file):
+        # one process, several commands in turn, a usage error among them:
+        # each ends as it does on a freshly built parser
+        calls = [
+            ["wef", "--spec", hamming16_file],
+            ["cost", "--spec", hamming16_file],
+            ["wef", "--spec", hamming16_file, "--strategy", "fastest"],
+            ["wef", "--spec", hamming16_file],
+        ]
+        fresh = []
+        for argv in calls:
+            _parser.cache_clear()
+            fresh.append(invoke(capsys, *argv)[:2])
+        _parser.cache_clear()
+        shared = [invoke(capsys, *argv)[:2] for argv in calls]
+        assert _parser.cache_info().misses == 1
+        assert shared == fresh
+        assert [code for code, _ in shared] == [0, 0, 1, 0]
+        assert shared[0][1] and shared[0] == shared[3]
+
     def test_console_script_runs(self):
         proc = subprocess.run(
             [sys.executable, "-m", "polarwd.cli", "max-mixing-factor", "--m", "5"],

@@ -15,7 +15,7 @@ from polarwd import (
     pac_spec,
     wef_direct,
 )
-from polarwd.coset import _rref, _split, _sum, affine_sum, calc_a
+from polarwd.coset import _rref, _split, affine_sum, calc_a
 from polarwd.oracle import brute_force_coset_wef
 
 from conftest import HAMMING16_WEF
@@ -26,30 +26,30 @@ PAC32 = pac_spec(5, from_rm(2, 5).unfrozen, [1, 0, 1, 1, 0, 1, 1])
 
 
 class TestEvenOddTransform:
-    """``_split`` maps an even-length prefix int (bit i = u_i) to its
-    (even xor odd, odd) halves."""
+    """``_split`` maps a prefix int (bit i = u_i) to its (even xor odd, odd)
+    halves; an odd-length prefix splits as if its next bit were 0."""
 
     def test_empty(self):
-        assert _split(0, 0) == (0, 0)
+        assert _split(0) == (0, 0)
 
     def test_pair(self):
         # (0, 1) -> ((1,), (1,))
-        assert _split(0b10, 1) == (0b1, 0b1)
+        assert _split(0b10) == (0b1, 0b1)
 
     def test_length_four(self):
         # (1, 0, 1, 1) -> ((1, 0), (0, 1))
-        assert _split(0b1101, 1) == (0b01, 0b10)
+        assert _split(0b1101) == (0b01, 0b10)
 
     def test_matches_bitwise_definition(self):
+        # every length, across and between the 16-bit chunks of the tables
         rng = random.Random(5)
-        for length in range(0, 130, 2):
-            nbytes = (length + 7) // 8
-            for _ in range(5):
-                p = rng.getrandbits(length) if length else 0
-                bits = [p >> i & 1 for i in range(length)]
-                xored = sum((bits[2 * j] ^ bits[2 * j + 1]) << j for j in range(length // 2))
-                odd = sum(bits[2 * j + 1] << j for j in range(length // 2))
-                assert _split(p, nbytes) == (xored, odd)
+        for length in range(0, 131):
+            pairs = (length + 1) // 2
+            for p in (rng.getrandbits(length) if length else 0, (1 << length) - 1):
+                bits = [p >> i & 1 for i in range(2 * pairs)]
+                xored = sum((bits[2 * j] ^ bits[2 * j + 1]) << j for j in range(pairs))
+                odd = sum(bits[2 * j + 1] << j for j in range(pairs))
+                assert _split(p) == (xored, odd)
 
 
 class TestCalcAExamples:
@@ -133,7 +133,9 @@ class TestInvariants:
         cache = CosetCache()
         wef_direct(spec, cache=cache)
         assert len(cache) > 0
-        assert all(n < spec.n for n, _ in cache._table)
+        assert len(cache) == sum(len(node.sums) for node in cache.nodes.values())
+        assert any(n == spec.n for n, _, _ in cache.nodes)
+        assert all(n < spec.n for (n, _, _), node in cache.nodes.items() if node.sums)
 
     def test_cache_is_bounded(self):
         cache = CosetCache(max_entries=2)
@@ -233,24 +235,30 @@ class TestAffineSum:
             (from_bhattacharyya_bec(6, 20, 0.4), wef_direct(from_bhattacharyya_bec(6, 20, 0.4))),
             (PAC32, brute_force_wef(PAC32)),
         ]:
-            cache = CosetCache(max_entries=4)
-            assert wef_direct(spec, cache=cache) == expected
-            assert len(cache) <= 4
-            assert 0 < len(cache.plans) <= 4
-            assert 0 < len(cache.values) <= 4
-            assert len(cache.products) <= 4 and len(cache.mixes) <= 4
             # every table full or not, and values past the cap are carried as
             # enumerators, not ids
-            for cap in (0, 1):
+            for cap in (0, 1, 2, 4):
                 cache = CosetCache(max_entries=cap)
                 assert wef_direct(spec, cache=cache) == expected
-                tables = (
-                    cache._table, cache.values, cache.plans, cache.products, cache.mixes
+                nodes = list(cache.nodes.values())
+                sums = sum(len(node.sums) for node in nodes)
+                assert sums == len(cache)
+                tables = (nodes, cache.values, cache.products, cache.mixes)
+                assert sums <= cap and all(len(table) <= cap for table in tables)
+                # stored nodes refer to stored nodes only, and only they hold sums
+                stored = {id(node) for node in nodes}
+                assert all(
+                    id(child) in stored
+                    for node in nodes
+                    if node.left is not None
+                    for child in (node.left, node.right)
                 )
-                assert all(len(table) <= cap for table in tables)
+                if cap:
+                    assert nodes and cache.values
 
     def test_plan_shared_across_block_lengths(self):
-        # a plan depends on (length, basis) only, so block lengths share it
+        # a plan depends on (length, basis) only, so the node of each block
+        # length splits the sets alike
         rng = random.Random(13)
         shared = CosetCache()
         for _ in range(12):
@@ -261,7 +269,8 @@ class TestAffineSum:
                 assert affine_sum(n, length, offset, basis, shared) == affine_sum(
                     n, length, offset, basis, CosetCache()
                 )
-            assert (length, basis) in shared.plans
+            nodes = [shared.nodes[n, length, basis] for n in (16, 32, 64)]
+            assert len({(node.k_v, node.k_w, node.low, node.high) for node in nodes}) == 1
 
 
 class TestEdges:
@@ -306,27 +315,41 @@ class TestHashConsing:
     pair of stored sums once."""
 
     def test_equal_sums_share_one_value(self):
-        # u = (1, 0) and (1, 1) both encode to weight-1 words at n = 2
+        # u = (0, 1, 1, 1) at n = 4 has the halves u = (1, 0) and (1, 1) at
+        # n = 2, which both encode to weight-1 words
         cache = CosetCache()
-        first, second = _sum(2, 2, 1, (), cache), _sum(2, 2, 3, (), cache)
-        assert {(2, (2, 1, ())), (2, (2, 3, ()))} <= cache._table.keys()
+        assert affine_sum(4, 4, 0b1110, (), cache) == WeightEnumerator([0, 0, 1])
+        sums = cache.nodes[2, 2, ()].sums
+        assert sums.keys() == {0b01, 0b11}
+        first, second = sums[0b01], sums[0b11]
         assert type(first) is int and first == second
         assert cache.value(first) == WeightEnumerator([0, 1])
         assert cache.values.count(WeightEnumerator([0, 1])) == 1
 
     def test_id_zero_is_a_hit(self, monkeypatch):
-        # u = (0, 0) at n = 2 sums to 1, the value of its halves, stored
-        # first; its id 0 must read as a hit
+        # u = 0 at n = 4 has the half u = (0, 0) at n = 2 on both sides; its
+        # sum 1 is the value of its own halves, stored first, so the second
+        # lookup finds id 0 and must read it as a hit
+        puts = []
+        put = CosetCache.put
+        monkeypatch.setattr(
+            CosetCache, "put", lambda self, *args: puts.append(args) or put(self, *args)
+        )
         cache = CosetCache()
-        assert _sum(2, 2, 0, (), cache) == 0 == cache.get((2, (2, 0, ())))
+        assert affine_sum(4, 4, 0, (), cache) == WeightEnumerator([1])
+        node = cache.nodes[2, 2, ()]
+        assert node.sums == {0: 0} and puts == [((node, 0), 0)]
+        assert cache.get((node, 0)) == 0
         monkeypatch.setattr(CosetCache, "put", lambda *_: pytest.fail("recomputed"))
-        assert _sum(2, 2, 0, (), cache) == 0
+        assert affine_sum(4, 4, 0, (), cache) == WeightEnumerator([1])
 
     def test_values_stored_once(self):
         cache = CosetCache()
         assert wef_direct(PAC32, cache=cache) == brute_force_wef(PAC32)
         assert len(set(map(tuple, (v.coeffs for v in cache.values)))) == len(cache.values)
-        assert all(type(handle) is int for handle in cache._table.values())
+        assert all(
+            type(handle) is int for node in cache.nodes.values() for handle in node.sums.values()
+        )
         assert len(cache.values) < len(cache)
 
     def test_each_operand_pair_multiplied_once(self, monkeypatch):

@@ -177,6 +177,34 @@ class TestIsDecreasing:
             )
             assert is_decreasing(members)[0] == closed
 
+    @settings(max_examples=150)
+    @given(st.integers(1, 5), st.data())
+    def test_witness_is_first_missing_predecessor(self, m, data):
+        # against brute force over ``precedes``, and the witness is the first
+        # member, then its first immediate predecessor, that is missing
+        masks = data.draw(st.lists(st.integers(0, (1 << m) - 1), unique=True))
+        members = [Monomial(mask, m) for mask in masks]
+        everything = [Monomial(x, m) for x in range(1 << m)]
+        closed = all(h in members for g in members for h in everything if precedes(h, g))
+
+        def predecessors(g):
+            # each variable k ascending: k deleted, then k lowered to each
+            # absent j < k ascending
+            for k in g.vars:
+                rest = [v for v in g.vars if v != k]
+                yield Monomial.from_vars(rest, m)
+                for j in range(k):
+                    if j not in g.vars:
+                        yield Monomial.from_vars(rest + [j], m)
+
+        first = next(
+            ((f, g) for g in members for f in predecessors(g) if f not in members), None
+        )
+        assert is_decreasing(iter(members)) == (closed, first)
+        if first is not None:
+            missing, member = first
+            assert single_shift_le(missing, member) and precedes(missing, member)
+
 
 class TestOrderProperties:
     @settings(max_examples=120)
