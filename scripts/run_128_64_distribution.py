@@ -2,7 +2,7 @@
 """Compute the exact weight distribution of the reference (128,64) polar code.
 
 This covers 60 752 896 coset enumerators with the group-reduced recursion
-and takes about a minute (59 s on a 2-vCPU machine); pass
+and takes under a minute (53–55 s on a 2-vCPU machine); pass
 --dry-run to print the predicted coset counts and exit.
 Progress goes to standard error, the distribution (exact integers) to stdout.
 """

@@ -213,11 +213,15 @@ def from_generator_matrix(gen: Sequence[Sequence[int]]) -> CodeSpec:
     (an involution, so codeword c maps back to u = c G_n).  Reduced so each
     row has a distinct lowest set index, the pivots become the unfrozen
     positions and every other column reads off a causal affine constraint.
+    Entries must be 0 or 1 (bools included).
     """
 
-    g = np.array(gen, dtype=np.uint8) & 1
+    g = np.array(gen)
     if g.ndim != 2:
         raise ValueError("generator matrix must be two-dimensional")
+    if not np.isin(g, (0, 1)).all():
+        raise ValueError("generator matrix entries must be 0 or 1")
+    g = g.astype(np.uint8)
     k, n = g.shape
     if n < 1 or n & (n - 1):
         raise ValueError(f"block length {n} is not a power of two")
@@ -330,6 +334,8 @@ def spec_from_json(obj: dict) -> CodeSpec:
     n = 1 << m
     if "constraints" in obj:
         unfrozen = {int(i) for i in obj.get("unfrozen", [])}
+        if any(not 0 <= i < n for i in unfrozen):
+            raise ValueError("unfrozen index out of range")
         statuses: list[Optional[FreezeConstraint]] = [None] * n
         constrained = set()
         for c in obj["constraints"]:

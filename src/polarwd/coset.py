@@ -33,12 +33,12 @@ stand for a whole orbit act at every level too, so many sets share one
 enumerator (on a PAC(64) code, 33,940 memoised sets have 27 distinct sums).
 So the recursion is hash-consed.  The cache stores each distinct sum once
 and hands out a small-int id for it.  A step walks its boxes, counts each
-distinct (left id, right id) pair, and adds count x product once per pair;
-products are memoised per id pair, and the whole pair count of a step
-(its "mix") is memoised to the id of its sum, so a step that repeats an
-earlier mix does no arithmetic at all.  A value that finds the value table
-full stands for itself instead of an id, so results stay exact whatever the
-caps.
+distinct (left id, right id) pair, and adds count x product once per pair.
+The whole pair count of a step (its "mix") is memoised to the id of its
+sum, so a step that repeats an earlier mix does no arithmetic at all, and a
+new mix multiplies each of its distinct pairs once.  A value that finds the
+value table full stands for itself instead of an id, so results stay exact
+whatever the caps.
 """
 
 from __future__ import annotations
@@ -92,19 +92,17 @@ class CosetCache:
     - the sum table (``get``/``put``): each node's ``sums``, reduced offset
       -> handle of the set's sum; ``len`` counts its entries over all nodes;
     - the value table: each distinct sum polynomial once, ``values[id]``;
-    - ``products``: (left id, right id) -> product of the two values;
     - ``mixes``: a step's distinct (left, right) pairs with their box counts
       -> handle of the step's sum.
 
-    ``max_entries`` caps each of the five tables; the sum table is capped
+    ``max_entries`` caps each of the four tables; the sum table is capped
     as a whole.  Each table stops growing silently at the cap and entries
     are never mutated after insertion.  A node is stored after its children,
     so a stored node only refers to stored nodes; a node made when the node
     table is full serves the one call that made it and stores no sums.  A
     value refused by the full value table goes on as its own handle (an
-    enumerator, compared by value), and a refused product or mix is
-    recomputed when next needed, so a full table costs speed, never
-    exactness.
+    enumerator, compared by value), and a refused mix is recomputed when
+    next needed, so a full table costs speed, never exactness.
     """
 
     def __init__(self, max_entries: int = 1 << 20):
@@ -113,17 +111,14 @@ class CosetCache:
         self._sums = 0
         self.values: list[WeightEnumerator] = []
         self._ids: dict[tuple[int, ...], int] = {}
-        self.products: dict[tuple[int, int], WeightEnumerator] = {}
         self.mixes: dict[frozenset[tuple[tuple[Handle, Handle], int]], Handle] = {}
 
-    def get(self, key: tuple[_Node, int]) -> Optional[Handle]:
-        node, offset = key
+    def get(self, node: _Node, offset: int) -> Optional[Handle]:
         return node.sums.get(offset)
 
-    def put(self, key: tuple[_Node, int], value: Handle) -> None:
+    def put(self, node: _Node, offset: int, value: Handle) -> None:
         """Store the sum of a set that ``get`` just missed."""
 
-        node, offset = key
         if node.stored and self._sums < self.max_entries:
             node.sums[offset] = value
             self._sums += 1
@@ -249,20 +244,6 @@ def _plan(
     return half, k_v, k_w, mixed
 
 
-def _product(left: Handle, right: Handle, cache: CosetCache) -> WeightEnumerator:
-    """Product of two sums, memoised when both are stored values."""
-
-    if type(left) is not int or type(right) is not int:
-        return cache.value(left) * cache.value(right)
-    pair = (left, right)
-    result = cache.products.get(pair)
-    if result is None:
-        result = cache.values[left] * cache.values[right]
-        if len(cache.products) < cache.max_entries:
-            cache.products[pair] = result
-    return result
-
-
 def _step(node: _Node, offset: int, cache: CosetCache) -> Handle:
     """One recursion step: the sum of one of the node's sets from its
     children's sums."""
@@ -295,16 +276,14 @@ def _step(node: _Node, offset: int, cache: CosetCache) -> Handle:
             if base:
                 pair = (_step(left, da, cache), _step(right, db, cache))
             else:
-                key = (left, da)
-                x = get(key)
+                x = get(left, da)
                 if x is None:
                     x = _step(left, da, cache)
-                    put(key, x)
-                key = (right, db)
-                y = get(key)
+                    put(left, da, x)
+                y = get(right, db)
                 if y is None:
                     y = _step(right, db, cache)
-                    put(key, y)
+                    put(right, db, y)
                 pair = (x, y)
             counts[pair] = counts.get(pair, 0) + 1
         t += 1
@@ -320,7 +299,7 @@ def _step(node: _Node, offset: int, cache: CosetCache) -> Handle:
         # one product per distinct pair, times the boxes that have it
         acc = None
         for (x, y), count in counts.items():
-            term = _product(x, y, cache)
+            term = cache.value(x) * cache.value(y)
             if count > 1:
                 term = term.scale(count)
             acc = term if acc is None else acc + term

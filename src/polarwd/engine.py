@@ -22,7 +22,7 @@ from typing import Callable, Optional, Sequence
 
 from .codespec import CodeSpec, Profile, dual_spec, profile
 from .coset import CosetCache, affine_sum, calc_a
-from .monomials import Monomial, single_shift_le
+from .monomials import _predecessor_masks
 from .wef import WeightEnumerator, macwilliams
 
 DEFAULT_BUDGET = 1 << 28
@@ -76,11 +76,14 @@ def _orbits(m: int, red: Sequence[int]) -> list[tuple[int, tuple[int, ...], int]
     index, so that index never moves and one pass over ``red`` suffices.
     """
 
-    monos = [Monomial.from_row_index(i, m) for i in red]
+    full = (1 << m) - 1
     orbits = []
     for pos, f in enumerate(red):
-        below = range(pos + 1, len(red))
-        free = tuple(red[j] for j in below if not single_shift_le(monos[j], monos[pos]))
+        # rows of the single-shift predecessors of f's monomial (row index
+        # and monomial mask are complements)
+        shifts = {full ^ g for g in _predecessor_masks(full ^ f)}
+        below = red[pos + 1 :]
+        free = tuple(i for i in below if i not in shifts)
         orbits.append((f, free, len(below) - len(free)))
     return orbits
 

@@ -2,7 +2,7 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines as they complete.  Criterion 3 (the full (128,64) weight distribution)
-takes about 59 s on a 2-vCPU machine and is opt-in:
+takes about 55 s on a 2-vCPU machine and is opt-in:
 ``RUN_FULL_128=1 pytest -m full128 -s``.
 """
 

@@ -138,6 +138,11 @@ class TestErrors:
             # constraint targets outside [0, n)
             '{"m": 2, "constraints": [{"target": 9}]}',
             '{"m": 2, "constraints": [{"target": -1}]}',
+            # unfrozen indices outside [0, n) beside constraints
+            '{"m": 2, "unfrozen": [3, 7], "constraints": []}',
+            '{"m": 2, "unfrozen": [3, -1], "constraints": []}',
+            # generator entries other than 0 and 1
+            '{"construction": "generator", "matrix": [[1, 1, 2, 3]]}',
             # values that overflow int or uint8
             '{"m": Infinity, "unfrozen": []}',
             '{"construction": "generator", "matrix": [[256, 1]]}',

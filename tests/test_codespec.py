@@ -112,6 +112,16 @@ class TestGeneratorMatrix:
         with pytest.raises(ValueError):
             from_generator_matrix([[1, 1], [1, 1]])
 
+    @pytest.mark.parametrize("entry", [2, 3, -1, 256, 0.5, "1"])
+    def test_non_binary_entry_rejected(self, entry):
+        # an entry is never read mod 2: [[1, 1, 2, 3]] is not [[1, 1, 0, 1]]
+        with pytest.raises(ValueError, match="0 or 1"):
+            from_generator_matrix([[1, 1, 0, entry]])
+
+    def test_bool_entries_accepted(self):
+        spec = from_generator_matrix([[True, True]])
+        assert spec.statuses == from_generator_matrix([[1, 1]]).statuses
+
     @pytest.mark.parametrize("seed", range(6))
     def test_random_matrix_codeword_set_preserved(self, seed):
         rng = random.Random(seed)
@@ -223,6 +233,13 @@ class TestJson:
     def test_unfrozen_schema(self):
         spec = spec_from_json({"m": 2, "unfrozen": [3]})
         assert spec.frozen == (0, 1, 2)
+
+    @pytest.mark.parametrize("index", [7, -1, 4])
+    def test_constraint_form_rejects_out_of_range_unfrozen(self, index):
+        # as in the plain "unfrozen" form, an index outside [0, n) is an
+        # error, not dropped
+        with pytest.raises(ValueError, match="unfrozen index out of range"):
+            spec_from_json({"m": 2, "unfrozen": [3, index], "constraints": []})
 
     def test_conflicting_roles_rejected(self):
         with pytest.raises(ValueError):

@@ -243,7 +243,7 @@ class TestAffineSum:
                 nodes = list(cache.nodes.values())
                 sums = sum(len(node.sums) for node in nodes)
                 assert sums == len(cache)
-                tables = (nodes, cache.values, cache.products, cache.mixes)
+                tables = (nodes, cache.values, cache.mixes)
                 assert sums <= cap and all(len(table) <= cap for table in tables)
                 # stored nodes refer to stored nodes only, and only they hold sums
                 stored = {id(node) for node in nodes}
@@ -311,8 +311,8 @@ class TestEdges:
 
 
 class TestHashConsing:
-    """The cache stores each distinct sum once and multiplies each distinct
-    pair of stored sums once."""
+    """The cache stores each distinct sum once and does no arithmetic for a
+    step whose mix it has seen."""
 
     def test_equal_sums_share_one_value(self):
         # u = (0, 1, 1, 1) at n = 4 has the halves u = (1, 0) and (1, 1) at
@@ -338,8 +338,8 @@ class TestHashConsing:
         cache = CosetCache()
         assert affine_sum(4, 4, 0, (), cache) == WeightEnumerator([1])
         node = cache.nodes[2, 2, ()]
-        assert node.sums == {0: 0} and puts == [((node, 0), 0)]
-        assert cache.get((node, 0)) == 0
+        assert node.sums == {0: 0} and puts == [(node, 0, 0)]
+        assert cache.get(node, 0) == 0
         monkeypatch.setattr(CosetCache, "put", lambda *_: pytest.fail("recomputed"))
         assert affine_sum(4, 4, 0, (), cache) == WeightEnumerator([1])
 
@@ -351,26 +351,6 @@ class TestHashConsing:
             type(handle) is int for node in cache.nodes.values() for handle in node.sums.values()
         )
         assert len(cache.values) < len(cache)
-
-    def test_each_operand_pair_multiplied_once(self, monkeypatch):
-        pairs = []
-        multiply = WeightEnumerator.__mul__
-
-        def spy(left, right):
-            pairs.append((tuple(left.coeffs), tuple(right.coeffs)))
-            return multiply(left, right)
-
-        monkeypatch.setattr(WeightEnumerator, "__mul__", spy)
-        cache = CosetCache()
-        expected = brute_force_wef(PAC32)
-        # the two halves of the code (red row 7 pinned) share one cache and its products
-        total = sum(
-            (wef_direct(PAC32.with_frozen(7, value), cache=cache) for value in (0, 1)),
-            WeightEnumerator.zero(),
-        )
-        assert total == expected
-        assert pairs and len(set(pairs)) == len(pairs)
-        assert len(pairs) == len(cache.products)
 
     def test_repeated_mix_costs_no_arithmetic(self, monkeypatch):
         # the top-level step of a repeated set counts the same pairs again

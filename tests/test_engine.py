@@ -17,6 +17,7 @@ from polarwd import (
     wef_lta,
 )
 from polarwd.codespec import from_frozen_set, profile
+from polarwd.monomials import Monomial, single_shift_le
 from polarwd.coset import calc_a
 from polarwd.engine import (
     BudgetExceeded,
@@ -147,6 +148,21 @@ class TestLta:
         # index 1 was unfrozen; now dynamically frozen -> not plain
         with pytest.raises(ValueError):
             wef_lta(spec)
+
+    def test_orbits_follow_single_shift_definition(self, polar128_spec):
+        # S of row f is every red row below f that is single-shift below f
+        specs = [polar128_spec]
+        specs += [from_rm(r, m) for m in range(1, 8) for r in range(m + 1)]
+        specs += [from_bhattacharyya_bec(m, k, 0.5) for m in (5, 6, 8) for k in (5, 1 << m - 1)]
+        for spec in specs + [dual_spec(spec) for spec in specs]:
+            red = profile(spec).red
+            monos = [Monomial.from_row_index(i, spec.m) for i in red]
+            expected = []
+            for pos, f in enumerate(red):
+                below = range(pos + 1, len(red))
+                free = tuple(red[j] for j in below if not single_shift_le(monos[j], monos[pos]))
+                expected.append((f, free, len(below) - len(free)))
+            assert _orbits(spec.m, red) == expected, spec.label
 
     @pytest.mark.parametrize("r,m", [(1, 3), (2, 4), (1, 4), (2, 5)])
     def test_matches_direct_on_reed_muller(self, r, m):
