@@ -2,9 +2,9 @@
 """Compute the exact weight distribution of the reference (128,64) polar code.
 
 This covers 60 752 896 coset enumerators with the group-reduced recursion
-and takes under a minute (53–55 s on a 2-vCPU machine); pass
---dry-run to print the predicted coset counts and exit.
-Progress goes to standard error, the distribution (exact integers) to stdout.
+and takes about a second on a 2-vCPU machine; pass --dry-run to print the
+predicted coset counts and exit.  The counts and the elapsed time go to
+standard error, the distribution (exact integers) to stdout.
 """
 
 import argparse
@@ -39,32 +39,15 @@ def main() -> None:
         return
 
     start = time.monotonic()
-    last = [start]
-
-    def progress(done: int, total: int) -> None:
-        now = time.monotonic()
-        if now - last[0] >= 10:
-            last[0] = now
-            rate = done / (now - start)
-            eta = (total - done) / rate if rate else float("inf")
-            print(
-                f"{done}/{total} cosets, {rate:.0f}/s, eta {eta / 3600:.2f} h",
-                file=sys.stderr,
-                flush=True,
-            )
-
     stats = EngineStats()
-    wef = wef_lta(
-        spec,
-        budget=cost.lta_cosets,
-        stats=stats,
-        progress=progress,
-    )
+    wef = wef_lta(spec, budget=cost.lta_cosets, stats=stats)
+    seconds = time.monotonic() - start
+    print(f"{stats.cosets_evaluated} cosets in {seconds:.1f} s", file=sys.stderr)
     payload = {
         "n": spec.n,
         "k": spec.k,
         "cosets_evaluated": str(stats.cosets_evaluated),
-        "seconds": round(time.monotonic() - start, 1),
+        "seconds": round(seconds, 1),
         "wef": wef.to_pairs(),
     }
     text = json.dumps(payload, indent=2)

@@ -268,10 +268,12 @@ def pac_spec(m: int, rate_profile: Iterable[int], conv_taps: Sequence[int]) -> C
 
     T is the unit-diagonal upper-triangular Toeplitz matrix of the taps, so v
     is causally recoverable from u and each frozen position yields an affine
-    constraint on earlier bits of u.
+    constraint on earlier bits of u.  Taps must be 0 or 1 (bools included).
     """
 
-    taps = [int(t) & 1 for t in conv_taps]
+    if any(t not in (0, 1) for t in conv_taps):
+        raise ValueError(f"convolution taps must be 0 or 1, got {list(conv_taps)!r}")
+    taps = [int(t) for t in conv_taps]
     if not taps or taps[0] != 1:
         raise ValueError("convolution taps must start with 1")
     n = 1 << m

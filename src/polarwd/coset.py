@@ -20,13 +20,32 @@ K_w = {b : (0, b) in its span}, the set is a disjoint union of 2^m boxes
 the dimension-0 case, and the base case at n = 1 is 1 for u_0 = 0, X for
 u_0 = 1.
 
-The split of a set depends on (n, length, basis) only, not on its offset.
-So the cache holds one node per such triple: its split plan (K_v, K_w and
-the mixed generators), its two child nodes (n/2, half, K_v) and
-(n/2, half, K_w), and a dict from reduced offset to the handle of that
-set's sum.  A step splits one offset into its halves, 16 prefix bits at a
-time through two 64 KiB tables, reduces them, then walks its boxes against
-the children's dicts, each lookup keyed by one int.
+Weights add over blocks however they are grouped, so the same holds for any
+split of a group of equal blocks into two sub-groups S | T: the sum over
+an affine set of block tuples is the sum over 2^m boxes of the product of
+the S-group's and the T-group's sums, where m = rank(proj_S) +
+rank(proj_T) - dim.  The natural split is the one-block group cut into its
+two halves.
+A set whose natural split mixes more than _QUARTER dimensions may instead
+cut into its four quarter blocks (a1, a2, b1, b2), split as one of the
+three 2|2 pairings or four 1|3 peels; groups of two or three blocks split
+by peeling one block.  Each split is priced by its mixed dimensions, from
+the ranks of the set's projections on its two sides, without building a
+plan; a quarter split is taken only when it mixes strictly fewer than the
+natural one.  Small sets never pay for the pricing, and a set that mixes
+alike under every split (the whole direct-route set of the (128,64) code
+mixes 16 dimensions under each) stays natural, while the orbit u30 of that
+code, 24 dimensions natural, sums through a pairing of 8.
+
+The split of a set depends on (blocks, n, length, basis) only, not on its
+offset.  So the cache holds one node per such tuple: its split plan (the
+children's bases K_v, K_w and the mixed generators), its two child nodes
+and a dict from reduced offset to the handle of that set's sum.  A
+one-block node is keyed (n, length, basis), a group of more blocks
+(n, length, basis, blocks).  A step cuts one offset into its children's
+offsets (a natural cut takes 16 prefix bits at a time through two 64 KiB
+tables), reduces them, then walks its boxes against the children's dicts,
+each lookup keyed by one int.
 
 The sums take few distinct values: the automorphisms that let one coset
 stand for a whole orbit act at every level too, so many sets share one
@@ -43,7 +62,8 @@ whatever the caps.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence, Union
+from itertools import combinations
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .wef import WeightEnumerator
 
@@ -54,41 +74,84 @@ Handle = Union[int, WeightEnumerator]
 
 
 class _Node:
-    """The affine sets offset + span(basis) of ``length``-bit prefixes at
-    block length n, for every offset: basis in reduced row echelon form, and
-    each offset reduced by it, so every set has exactly one (node, offset).
+    """The affine sets offset + span(basis) of a group of ``blocks`` blocks,
+    each a ``length``-bit prefix at block length n, for every offset.  Block
+    i holds bits [i * length, (i + 1) * length) of a tuple; the basis is in
+    reduced row echelon form and each offset is reduced by it, so every set
+    has exactly one (node, offset).
 
+    ``cut`` maps an offset to the offsets of the two children, the
+    sub-groups a step splits it into: ``_split`` for the natural halves,
+    else a gather of the blocks on each side.  ``k_v`` and ``k_w`` are the
+    children's bases; ``low`` and ``high`` list the mixed generators.
     ``sums`` maps offsets to the handles of their sums; only a node kept in
     the cache's node table (``stored``) ever gets an entry.  A node with
     ``left`` None is the n = 1 base case, outside the sum table; ``free``
     says whether its one bit runs free.
     """
 
-    __slots__ = ("sums", "stored", "free", "k_v", "k_w", "low", "high", "left", "right")
+    __slots__ = ("sums", "stored", "free", "cut", "k_v", "k_w", "low", "high", "left", "right")
 
-    def __init__(self, n: int, length: int, basis: tuple[int, ...], cache: CosetCache):
+    def __init__(
+        self, n: int, length: int, basis: tuple[int, ...], blocks: int, cache: CosetCache
+    ):
         self.sums: dict[int, Handle] = {}
         self.stored = False
         self.free = length == 0 or bool(basis)
         self.left: Optional[_Node] = None
         self.right: Optional[_Node] = None
-        if n > 1:
-            half, self.k_v, self.k_w, mixed = _plan(length, basis)
-            # (da, db) of every box spanned by the first _LOW generators
-            low = [(0, 0)]
-            for da, db in mixed[:_LOW]:
-                low += [(x ^ da, y ^ db) for x, y in low]
-            self.low = tuple(low)
-            self.high = mixed[_LOW:]
-            self.left = _node(n // 2, half, self.k_v, cache)
-            self.right = _node(n // 2, half, self.k_w, cache)
+        if blocks > 1:
+            # a group splits into two sub-groups of its blocks
+            width, vectors, quarter = length, basis, 0
+            sides = _choose(basis, width, blocks)
+        elif n > 1:
+            half = (length + 1) // 2
+            pairs = list(map(_split, basis))
+            if length % 2:
+                # the next bit runs free: the top bit of both halves
+                pairs.append((1 << half - 1, 1 << half - 1))
+            plan = _plan(pairs, half, half)
+            n, width, sides = n // 2, half, None
+            if len(plan[2]) > _QUARTER:
+                # mixed > _QUARTER needs half > _QUARTER, so n >= 16: quarter
+                # blocks are never the n = 1 base case
+                quarter = (half + 1) // 2
+                vectors = _quarter_span(length, basis, quarter)
+                sides = _choose(vectors, quarter, 4)
+                if sides == _HALVES:
+                    sides = None
+                else:
+                    n, width = n // 2, quarter
+        else:
+            return
+        if sides is None:
+            self.cut, sides = _split, ((0,), (0,))
+        else:
+            pick_v, pick_w = (_picker(side, width) for side in sides)
+            if quarter:
+                self.cut = lambda x: (pick_v(y := _quarters(x, quarter)), pick_w(y))
+            else:
+                self.cut = lambda x: (pick_v(x), pick_w(x))
+            pairs = [(pick_v(v), pick_w(v)) for v in vectors]
+            plan = _plan(pairs, len(sides[0]) * width, len(sides[1]) * width)
+        self.k_v, self.k_w, mixed = plan
+        # (da, db) of every box spanned by the first _LOW generators
+        low = [(0, 0)]
+        for da, db in mixed[:_LOW]:
+            low += [(x ^ da, y ^ db) for x, y in low]
+        self.low = tuple(low)
+        self.high = mixed[_LOW:]
+        self.left = _node(n, width, self.k_v, cache, len(sides[0]))
+        self.right = _node(n, width, self.k_w, cache, len(sides[1]))
 
 
 class CosetCache:
     """Bounded memo tables of the coset recursion, which keeps all its state
     here and none at module level.
 
-    - ``nodes``: (n, length, basis) -> the node of those sets;
+    - ``nodes``: (n, length, basis) of a one-block set, or
+      (n, length, basis, blocks) of a group of more blocks -> the node of
+      those sets;
     - the sum table (``get``/``put``): each node's ``sums``, reduced offset
       -> handle of the set's sum; ``len`` counts its entries over all nodes;
     - the value table: each distinct sum polynomial once, ``values[id]``;
@@ -107,7 +170,7 @@ class CosetCache:
 
     def __init__(self, max_entries: int = 1 << 20):
         self.max_entries = max_entries
-        self.nodes: dict[tuple[int, int, tuple[int, ...]], _Node] = {}
+        self.nodes: dict[tuple, _Node] = {}
         self._sums = 0
         self.values: list[WeightEnumerator] = []
         self._ids: dict[tuple[int, ...], int] = {}
@@ -143,13 +206,16 @@ class CosetCache:
         return self._sums
 
 
-def _node(n: int, length: int, basis: tuple[int, ...], cache: CosetCache) -> _Node:
-    """The cache's node of (n, length, basis), made with its subtree if new."""
+def _node(
+    n: int, length: int, basis: tuple[int, ...], cache: CosetCache, blocks: int = 1
+) -> _Node:
+    """The cache's node of (n, length, basis, blocks), made with its subtree
+    if new."""
 
-    key = (n, length, basis)
+    key = (n, length, basis) if blocks == 1 else (n, length, basis, blocks)
     node = cache.nodes.get(key)
     if node is None:
-        node = _Node(n, length, basis, cache)
+        node = _Node(n, length, basis, blocks, cache)
         if len(cache.nodes) < cache.max_entries:
             cache.nodes[key] = node
             node.stored = True
@@ -176,6 +242,14 @@ def _table16(odd: bool) -> bytes:
 # step walks the rest by Gray code
 _LOW = 4
 
+# a one-block set prices its quarter splits only when its natural split has
+# more than 2^_QUARTER boxes: below that, the ranks cost more than any
+# better split saves (measured on the code-mix benchmark)
+_QUARTER = 6
+
+# the quarter blocks (a1, a2, b1, b2) paired as the natural halves
+_HALVES = ((0, 1), (2, 3))
+
 _XOR16 = _table16(False)
 _ODD16 = _table16(True)
 
@@ -194,6 +268,51 @@ def _split(prefix: int) -> tuple[int, int]:
     return xored, odds
 
 
+def _quarters(prefix: int, width: int) -> int:
+    """The quarter blocks (a1, a2, b1, b2) of a prefix as one tuple of
+    ``width``-bit blocks, a1 lowest: the halves of each half, every odd
+    length's next bit 0."""
+
+    a, b = _split(prefix)
+    a1, a2 = _split(a)
+    b1, b2 = _split(b)
+    return a1 | (a2 | (b1 | b2 << width) << width) << width
+
+
+def _quarter_span(length: int, basis: Sequence[int], width: int) -> list[int]:
+    """Quarter blocks of vectors spanning the sets x + span(basis) of
+    ``length``-bit prefixes, the bits that run free included: the next bit
+    at odd length, and the next bit of each half at odd half length."""
+
+    vectors = [_quarters(v, width) for v in basis]
+    half = (length + 1) // 2
+    if length % 2:
+        vectors.append(_quarters(1 << length, width))
+    if half % 2:
+        # _quarters of a prefix whose a half is 1 << half, then of one whose
+        # b half is
+        top = _quarters(1 << 2 * half, width)
+        vectors += [top, top << 2 * width]
+    return vectors
+
+
+def _picker(blocks: Sequence[int], width: int) -> Callable[[int], int]:
+    """x -> the tuple of the blocks ``blocks`` of the ``width``-bit block
+    tuple x, in that order; adjacent blocks move as one run of bits."""
+
+    runs: list[list[int]] = []  # [first block, blocks, position]
+    for j, i in enumerate(blocks):
+        if runs and runs[-1][0] + runs[-1][1] == i:
+            runs[-1][1] += 1
+        else:
+            runs.append([i, 1, j])
+    shifts = [(i * width, (1 << c * width) - 1, j * width) for i, c, j in runs]
+    if len(shifts) == 1:
+        (src, mask, _), = shifts
+        return lambda x: x >> src & mask
+    return lambda x: sum((x >> src & mask) << dst for src, mask, dst in shifts)
+
+
 def _rref(vectors: Iterable[int]) -> list[int]:
     """Reduced row echelon basis of the span of ``vectors``, pivots (the top
     bits) descending; every pivot bit is clear in every other row."""
@@ -210,6 +329,21 @@ def _rref(vectors: Iterable[int]) -> list[int]:
     return rows
 
 
+def _rank(vectors: Iterable[int]) -> int:
+    """Dimension of the span of ``vectors``: one row per top bit, each
+    vector reduced by the rows until its top bit is new or nothing is left."""
+
+    rows: dict[int, int] = {}
+    for x in vectors:
+        while x:
+            top = x.bit_length()
+            if top not in rows:
+                rows[top] = x
+                break
+            x ^= rows[top]
+    return len(rows)
+
+
 def _reduce(x: int, rows: Sequence[int]) -> int:
     """The representative of x + span(rows) with every pivot bit clear."""
 
@@ -220,28 +354,50 @@ def _reduce(x: int, rows: Sequence[int]) -> int:
 
 
 def _plan(
-    length: int, basis: tuple[int, ...]
-) -> tuple[int, tuple[int, ...], tuple[int, ...], tuple[tuple[int, int], ...]]:
-    """Split of the sets x + span(basis) of ``length``-bit prefixes into
-    half-length kernels and mixed generators: (half, K_v, K_w, mixed)."""
+    pairs: Sequence[tuple[int, int]], width_v: int, width_w: int
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, int], ...]]:
+    """Split of the sets spanned by (v, w) ``pairs`` of ``width_v``- and
+    ``width_w``-bit sides into side kernels and mixed generators:
+    (K_v, K_w, mixed)."""
 
-    half = (length + 1) // 2
-    low = (1 << half) - 1
-    # each vector as b << half | a; at odd length the next bit runs free,
-    # one more vector with the top bit set in both halves
-    vectors = [vb << half | va for va, vb in map(_split, basis)]
-    if length % 2:
-        vectors.append(1 << 2 * half - 1 | 1 << half - 1)
-    # reduction on the b-side pivots first leaves the rows with b = 0, which
+    low = (1 << width_v) - 1
+    # reduction on the w-side pivots first leaves the rows with w = 0, which
     # span K_v
-    rows = _rref(vectors)
+    rows = _rref(w << width_v | v for v, w in pairs)
     k_v = tuple(r for r in rows if r <= low)
-    # swap the halves of the other rows: their a-parts are reduced by K_v, so
-    # rows left with a = 0 span K_w and the rest are the mixed generators
-    rows = _rref((r & low) << half | r >> half for r in rows if r > low)
+    # swap the sides of the other rows: their v-parts are reduced by K_v, so
+    # rows left with v = 0 span K_w and the rest are the mixed generators
+    rows = _rref((r & low) << width_w | r >> width_v for r in rows if r > low)
+    low = (1 << width_w) - 1
     k_w = tuple(r for r in rows if r <= low)
-    mixed = tuple((r >> half, r & low) for r in rows if r > low)
-    return half, k_v, k_w, mixed
+    mixed = tuple((r >> width_w, r & low) for r in rows if r > low)
+    return k_v, k_w, mixed
+
+
+def _choose(
+    vectors: Sequence[int], width: int, count: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The split (S, T) of a group of ``count`` blocks that mixes the fewest
+    dimensions, rank(proj_S) + rank(proj_T) - dim; ``vectors`` span the
+    set as tuples of ``width``-bit blocks."""
+
+    one = (1 << width) - 1
+
+    def rank(side: tuple[int, ...]) -> int:
+        keep = sum(one << i * width for i in side)
+        return _rank(v & keep for v in vectors)
+
+    blocks = range(count)
+    splits = [
+        (side, tuple(i for i in blocks if i not in side))
+        for size in range(1, count)
+        for side in combinations(blocks, size)
+        if side[0] == 0
+    ]
+    # ties go to the natural halves, then to 2|2 pairings before 1|3 peels
+    # (about 5 % faster on pac64-direct than peels first)
+    splits.sort(key=lambda split: (split != _HALVES, abs(len(split[0]) - len(split[1]))))
+    return min(splits, key=lambda split: rank(split[0]) + rank(split[1]))
 
 
 def _step(node: _Node, offset: int, cache: CosetCache) -> Handle:
@@ -253,7 +409,7 @@ def _step(node: _Node, offset: int, cache: CosetCache) -> Handle:
         if node.free:
             return cache.intern(WeightEnumerator([1, 1]))
         return cache.intern(WeightEnumerator.x() if offset else WeightEnumerator.one())
-    a, b = _split(offset)
+    a, b = node.cut(offset)
     # ``_reduce`` by K_v and K_w, inline: this runs once per set summed
     for r in node.k_v:
         if a ^ r < a:
@@ -266,8 +422,8 @@ def _step(node: _Node, offset: int, cache: CosetCache) -> Handle:
     get, put = cache.get, cache.put
     counts: dict[tuple[Handle, Handle], int] = {}
     # the boxes in blocks of ``low``, each block moved by one ``high``
-    # generator (Gray code); boxes whose two half-length sums are equal
-    # values are counted together
+    # generator (Gray code); boxes whose two sums are equal values are
+    # counted together
     t = 0
     while True:
         for da, db in low:

@@ -74,11 +74,3 @@ def pytest_configure(config):
     paths = [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
     os.environ["PYTHONPATH"] = os.pathsep.join(dict.fromkeys(paths))
 
-
-def pytest_collection_modifyitems(config, items):
-    if os.environ.get("RUN_FULL_128") == "1":
-        return
-    skip = pytest.mark.skip(reason="about 1 min; set RUN_FULL_128=1 to enable")
-    for item in items:
-        if "full128" in item.keywords:
-            item.add_marker(skip)

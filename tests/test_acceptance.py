@@ -2,8 +2,8 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines as they complete.  Criterion 3 (the full (128,64) weight distribution)
-takes about 55 s on a 2-vCPU machine and is opt-in:
-``RUN_FULL_128=1 pytest -m full128 -s``.
+takes about 1 s on a 2-vCPU machine and runs by default; ``pytest -m full128
+-s`` runs it alone.
 """
 
 import itertools

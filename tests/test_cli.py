@@ -143,6 +143,9 @@ class TestErrors:
             '{"m": 2, "unfrozen": [3, -1], "constraints": []}',
             # generator entries other than 0 and 1
             '{"construction": "generator", "matrix": [[1, 1, 2, 3]]}',
+            # PAC taps other than 0 and 1
+            '{"construction": "pac", "m": 2, "profile": [3], "taps": [1, 2]}',
+            '{"construction": "pac", "m": 2, "profile": [3], "taps": [3, 1]}',
             # values that overflow int or uint8
             '{"m": Infinity, "unfrozen": []}',
             '{"construction": "generator", "matrix": [[256, 1]]}',

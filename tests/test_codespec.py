@@ -173,6 +173,18 @@ class TestPac:
         with pytest.raises(ValueError):
             pac_spec(2, {3}, [0, 1])
 
+    @pytest.mark.parametrize("bad", [2, -1, 0.5, "1"])
+    def test_non_bit_taps_rejected(self, bad):
+        with pytest.raises(ValueError):
+            pac_spec(2, {3}, [1, bad])
+        with pytest.raises(ValueError):
+            pac_spec(2, {3}, [bad, 1])
+
+    def test_bool_taps_accepted(self):
+        assert pac_spec(3, {3, 5, 6, 7}, [True, False, True]).statuses == pac_spec(
+            3, {3, 5, 6, 7}, [1, 0, 1]
+        ).statuses
+
 
 class TestDual:
     def test_rate_one_to_rate_zero(self):

@@ -13,9 +13,11 @@ from polarwd import (
     from_rm,
     from_unfrozen_set,
     pac_spec,
+    profile,
     wef_direct,
 )
-from polarwd.coset import _rref, _split, affine_sum, calc_a
+from polarwd.coset import _node, _rref, _split, affine_sum, calc_a
+from polarwd.engine import _orbits
 from polarwd.oracle import brute_force_coset_wef
 
 from conftest import HAMMING16_WEF
@@ -129,13 +131,15 @@ class TestInvariants:
             assert calc_a(16, prefix, cache) == calc_a(16, prefix, None)
 
     def test_full_length_pairs_not_cached(self):
-        spec = from_rm(2, 5)
-        cache = CosetCache()
-        wef_direct(spec, cache=cache)
-        assert len(cache) > 0
-        assert len(cache) == sum(len(node.sums) for node in cache.nodes.values())
-        assert any(n == spec.n for n, _, _ in cache.nodes)
-        assert all(n < spec.n for (n, _, _), node in cache.nodes.items() if node.sums)
+        # PAC32's direct set splits into groups of quarter blocks, keyed
+        # (n, length, basis, blocks) beside the (n, length, basis) of one block
+        for spec in (from_rm(2, 5), PAC32):
+            cache = CosetCache()
+            wef_direct(spec, cache=cache)
+            assert len(cache) > 0
+            assert len(cache) == sum(len(node.sums) for node in cache.nodes.values())
+            assert any(key[0] == spec.n for key in cache.nodes)
+            assert all(key[0] < spec.n for key, node in cache.nodes.items() if node.sums)
 
     def test_cache_is_bounded(self):
         cache = CosetCache(max_entries=2)
@@ -152,6 +156,18 @@ def coset_wef(n, length, prefix, cache=None):
         return w0 + w1
     bits = [prefix >> i & 1 for i in range(length)]
     return calc_a(n, bits[:-1], cache)[bits[-1]]
+
+
+def quarters_to_prefix(quarters):
+    """The prefix whose quarter blocks (a1, a2, b1, b2) are ``quarters``."""
+
+    def join(a, b):
+        # the prefix whose (even xor odd, odd) halves are a and b
+        bits = max(a.bit_length(), b.bit_length())
+        return sum(((a >> j ^ b >> j) & 1) << 2 * j | (b >> j & 1) << 2 * j + 1 for j in range(bits))
+
+    a1, a2, b1, b2 = quarters
+    return join(join(a1, a2), join(b1, b2))
 
 
 def span(offset, basis):
@@ -179,6 +195,53 @@ class TestAffineSum:
                     expected = expected + coset_wef(n, length, p, cache)
                 assert affine_sum(n, length, offset, basis, cache) == expected
                 assert affine_sum(n, length, offset, basis) == expected
+
+    def test_random_multi_block_sets(self):
+        # seeded random sets at lengths n - 3 to n (odd and even, with halves
+        # of odd and even length) and dims up to 12; half of them are spanned
+        # by vectors that couple only some quarter blocks, which the natural
+        # split mixes and a pairing or a peel does not
+        rng = random.Random(19)
+        shapes = [((0, 2), (1, 3)), ((0, 3), (1, 2)), ((1,), (0, 2, 3)), ((0, 1, 2), (3,))]
+        groups = set()
+        singles = CosetCache()
+        for n in (16, 32, 64):
+            q = n // 4
+            for trial in range(8):
+                length = n - trial % 4
+                dim = rng.randrange(7, 13)
+                if trial < len(shapes):
+                    basis = [
+                        quarters_to_prefix(
+                            [rng.getrandbits(q) if i in side else 0 for i in range(4)]
+                        )
+                        for side in shapes[trial]
+                        for _ in range(dim // 2)
+                    ]
+                else:
+                    basis = [rng.getrandbits(length) for _ in range(dim)]
+                basis = [v & (1 << length) - 1 for v in basis]
+                offset = rng.getrandbits(length)
+                expected = WeightEnumerator.zero()
+                for p in span(offset, basis):
+                    expected = expected + coset_wef(n, length, p, singles)
+                cache = CosetCache()
+                assert affine_sum(n, length, offset, basis, cache) == expected
+                groups |= {key[3] for key in cache.nodes if len(key) == 4}
+        # both sub-group sizes of a quarter split were taken
+        assert groups == {2, 3}
+
+    def test_u30_takes_a_quarter_split(self, polar128_spec):
+        # the (128,64) orbit u30 mixes 24 dimensions under the natural split
+        # and 8 under the best pairing of its quarter blocks; summed
+        # naturally, it fills the 2^20 sum table
+        prof = profile(polar128_spec)
+        free = next(free for f, free, _ in _orbits(7, prof.red) if f == 30)
+        cache = CosetCache()
+        node = _node(128, prof.s + 1, tuple(_rref(1 << i for i in free)), cache)
+        assert node.cut is not _split
+        assert len(node.low) << len(node.high) == 1 << 8
+        assert any(len(key) == 4 for key in cache.nodes)
 
     def test_matches_oracle(self):
         for offset, basis in [(0b0110, [0b0011, 0b1000]), (0b101, [0b110]), (1, [])]:

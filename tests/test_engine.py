@@ -27,7 +27,7 @@ from polarwd.engine import (
     _orbits,
 )
 
-from conftest import HAMMING16_WEF, POLAR128_UNFROZEN
+from conftest import HAMMING16_WEF, POLAR128_UNFROZEN, POLAR128_WD
 
 
 class TestDirect:
@@ -163,6 +163,15 @@ class TestLta:
                 free = tuple(red[j] for j in below if not single_shift_le(monos[j], monos[pos]))
                 expected.append((f, free, len(below) - len(free)))
             assert _orbits(spec.m, red) == expected, spec.label
+
+    def test_polar128_within_one_cache(self, polar128_spec):
+        # summed by natural halves only, the orbit u30 alone filled the 2^20
+        # sum table; split into quarter blocks, the whole run leaves it
+        # mostly empty
+        cache = CosetCache()
+        got = wef_lta(polar128_spec, cache=cache)
+        assert dict(got.items()) == POLAR128_WD
+        assert len(cache) < cache.max_entries
 
     @pytest.mark.parametrize("r,m", [(1, 3), (2, 4), (1, 4), (2, 5)])
     def test_matches_direct_on_reed_muller(self, r, m):
