@@ -15,7 +15,7 @@ import sys
 from dataclasses import asdict
 from typing import Optional
 
-from .codespec import CodeSpec, dual_spec, profile, spec_from_json, spec_to_json
+from .codespec import MAX_JSON_M, CodeSpec, dual_spec, profile, spec_from_json, spec_to_json
 from .engine import (
     DEFAULT_BUDGET,
     BudgetExceeded,
@@ -129,6 +129,9 @@ def _cmd_mixing_factor(args: argparse.Namespace) -> int:
 def _cmd_max_mixing_factor(args: argparse.Namespace) -> int:
     if args.m < 1:
         raise CliError("bad_m", "m must be at least 1")
+    # the search grows 3.3-4x per step of m (12 s at m = 14 on a 2-vCPU VM)
+    if args.m > MAX_JSON_M:
+        raise CliError("bad_m", f"m={args.m} exceeds the limit of {MAX_JSON_M}")
     if args.rate_half:
         print(max_mixing_factor_rate_half(args.m))
     else:

@@ -15,7 +15,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .monomials import Monomial, is_decreasing
-from .transform import generator_matrix
+from .transform import MATRIX_GUARD_M, generator_matrix
 
 # spec_from_json refuses larger m: the statuses alone would take 2^m objects.
 MAX_JSON_M = 16
@@ -308,10 +308,10 @@ def dual_spec(spec: CodeSpec) -> CodeSpec:
     return spec._dual
 
 
-def _json_m(obj: dict) -> int:
+def _json_m(obj: dict, limit: int = MAX_JSON_M) -> int:
     m = int(obj["m"])
-    if m > MAX_JSON_M:
-        raise ValueError(f"m={m} exceeds the limit of {MAX_JSON_M}")
+    if m > limit:
+        raise ValueError(f"m={m} exceeds the limit of {limit}")
     return m
 
 
@@ -326,7 +326,11 @@ def spec_from_json(obj: dict) -> CodeSpec:
     if construction == "bec":
         return from_bhattacharyya_bec(_json_m(obj), int(obj["k"]), float(obj["erasure"]))
     if construction == "pac":
-        return pac_spec(_json_m(obj), [int(i) for i in obj["profile"]], obj["taps"])
+        # a PAC spec's supports are dense: memory grows 4x per step of m, so
+        # it has the generator matrix's bound
+        return pac_spec(
+            _json_m(obj, MATRIX_GUARD_M), [int(i) for i in obj["profile"]], obj["taps"]
+        )
     if construction == "generator":
         return from_generator_matrix(obj["matrix"])
     if construction is not None:

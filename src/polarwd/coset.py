@@ -5,20 +5,22 @@ the rest run free.  Prefixes are ints with bit i = u_i, so equal ints of
 different lengths are different cosets and every call carries the length.
 
 The recursion sums the enumerators of an affine set of prefixes
-offset + span(basis) at once.  At length n an odd-length set first takes the
-next bit as one more free basis vector.  An even-length prefix maps linearly
-onto the half-length prefixes (even xor odd bits, odd bits) of the two
-halves of the codeword, whose weights add.  So the image of the set is an
-affine set of prefix pairs (a, b).  With K_v = {a : (a, 0) in its span} and
-K_w = {b : (0, b) in its span}, the set is a disjoint union of 2^m boxes
-(a_t + K_v) x (b_t + K_w), where m = dim - dim K_v - dim K_w counts the
-"mixed" dimensions.  The sum at length n is therefore
+offset + span(basis) at once.  Free bits follow one rule: before a set
+splits into blocks, each prefix bit it leaves free below the blocks' total
+width joins its basis as a unit vector (the next bit of an odd length, and
+for quarter blocks the next bit of each odd half).  An even-length prefix
+maps linearly onto the half-length prefixes (even xor odd bits, odd bits)
+of the two halves of the codeword, whose weights add.  So the image of the
+set is an affine set of prefix pairs (a, b).  With K_v = {a : (a, 0) in its
+span} and K_w = {b : (0, b) in its span}, the set is a disjoint union of 2^m
+boxes (a_t + K_v) x (b_t + K_w), where m = dim - dim K_v - dim K_w counts
+the "mixed" dimensions.  The sum at length n is therefore
 
     sum over t of  sum(a_t + K_v) * sum(b_t + K_w),
 
 2^m terms, each a product of two half-length affine sums.  A single coset is
-the dimension-0 case, and the base case at n = 1 is 1 for u_0 = 0, X for
-u_0 = 1.
+the dimension-0 case (``calc_a``), and the base case at n = 1 is 1 for
+u_0 = 0, X for u_0 = 1, 1 + X when u_0 runs free.
 
 Weights add over blocks however they are grouped, so the same holds for any
 split of a group of equal blocks into two sub-groups S | T: the sum over
@@ -40,12 +42,13 @@ code, 24 dimensions natural, sums through a pairing of 8.
 The split of a set depends on (blocks, n, length, basis) only, not on its
 offset.  So the cache holds one node per such tuple: its split plan (the
 children's bases K_v, K_w and the mixed generators), its two child nodes
-and a dict from reduced offset to the handle of that set's sum.  A
-one-block node is keyed (n, length, basis), a group of more blocks
-(n, length, basis, blocks).  A step cuts one offset into its children's
-offsets (a natural cut takes 16 prefix bits at a time through two 64 KiB
-tables), reduces them, then walks its boxes against the children's dicts,
-each lookup keyed by one int.
+and a dict from reduced offset to the handle of that set's sum; the base
+nodes at n = 1 keep their sums in the same table.  A one-block node is
+keyed (n, length, basis), a group of more blocks (n, length, basis,
+blocks).  A step cuts one offset into its children's offsets (a natural cut
+takes 16 prefix bits at a time through two 64 KiB tables), reduces them,
+then walks its boxes against the children's dicts, each lookup keyed by one
+int.
 
 The sums take few distinct values: the automorphisms that let one coset
 stand for a whole orbit act at every level too, so many sets share one
@@ -77,8 +80,10 @@ class _Node:
     """The affine sets offset + span(basis) of a group of ``blocks`` blocks,
     each a ``length``-bit prefix at block length n, for every offset.  Block
     i holds bits [i * length, (i + 1) * length) of a tuple; the basis is in
-    reduced row echelon form and each offset is reduced by it, so every set
-    has exactly one (node, offset).
+    reduced row echelon form and each offset in ``sums`` is reduced by it,
+    so every stored set has exactly one (node, offset).  A one-block node
+    splits the sets with the bits they leave free below the split's width
+    added to the basis (``_free``); the blocks of a group have none free.
 
     ``cut`` maps an offset to the offsets of the two children, the
     sub-groups a step splits it into: ``_split`` for the natural halves,
@@ -86,8 +91,8 @@ class _Node:
     children's bases; ``low`` and ``high`` list the mixed generators.
     ``sums`` maps offsets to the handles of their sums; only a node kept in
     the cache's node table (``stored``) ever gets an entry.  A node with
-    ``left`` None is the n = 1 base case, outside the sum table; ``free``
-    says whether its one bit runs free.
+    ``left`` None is the n = 1 base case, whose sums are stored like any
+    other node's; ``free`` says whether its one bit runs free.
     """
 
     __slots__ = ("sums", "stored", "free", "cut", "k_v", "k_w", "low", "high", "left", "right")
@@ -97,7 +102,6 @@ class _Node:
     ):
         self.sums: dict[int, Handle] = {}
         self.stored = False
-        self.free = length == 0 or bool(basis)
         self.left: Optional[_Node] = None
         self.right: Optional[_Node] = None
         if blocks > 1:
@@ -106,23 +110,20 @@ class _Node:
             sides = _choose(basis, width, blocks)
         elif n > 1:
             half = (length + 1) // 2
-            pairs = list(map(_split, basis))
-            if length % 2:
-                # the next bit runs free: the top bit of both halves
-                pairs.append((1 << half - 1, 1 << half - 1))
-            plan = _plan(pairs, half, half)
+            plan = _plan([_split(v) for v in _free(basis, length, 2 * half)], half, half)
             n, width, sides = n // 2, half, None
             if len(plan[2]) > _QUARTER:
                 # mixed > _QUARTER needs half > _QUARTER, so n >= 16: quarter
                 # blocks are never the n = 1 base case
                 quarter = (half + 1) // 2
-                vectors = _quarter_span(length, basis, quarter)
+                vectors = [_quarters(v, quarter) for v in _free(basis, length, 4 * quarter)]
                 sides = _choose(vectors, quarter, 4)
                 if sides == _HALVES:
                     sides = None
                 else:
                     n, width = n // 2, quarter
         else:
+            self.free = bool(_free(basis, length, 1))
             return
         if sides is None:
             self.cut, sides = _split, ((0,), (0,))
@@ -152,8 +153,9 @@ class CosetCache:
     - ``nodes``: (n, length, basis) of a one-block set, or
       (n, length, basis, blocks) of a group of more blocks -> the node of
       those sets;
-    - the sum table (``get``/``put``): each node's ``sums``, reduced offset
-      -> handle of the set's sum; ``len`` counts its entries over all nodes;
+    - the sum table (``get``/``put``): each node's ``sums``, the n = 1 base
+      nodes' included, reduced offset -> handle of the set's sum; ``len``
+      counts its entries over all nodes;
     - the value table: each distinct sum polynomial once, ``values[id]``;
     - ``mixes``: a step's distinct (left, right) pairs with their box counts
       -> handle of the step's sum.
@@ -279,21 +281,12 @@ def _quarters(prefix: int, width: int) -> int:
     return a1 | (a2 | (b1 | b2 << width) << width) << width
 
 
-def _quarter_span(length: int, basis: Sequence[int], width: int) -> list[int]:
-    """Quarter blocks of vectors spanning the sets x + span(basis) of
-    ``length``-bit prefixes, the bits that run free included: the next bit
-    at odd length, and the next bit of each half at odd half length."""
+def _free(basis: Sequence[int], length: int, width: int) -> tuple[int, ...]:
+    """Vectors spanning the sets x + span(basis) of ``length``-bit prefixes
+    as ``width``-bit ones: ``basis`` and the unit vector of every bit from
+    ``length`` up to ``width``, which those sets leave free."""
 
-    vectors = [_quarters(v, width) for v in basis]
-    half = (length + 1) // 2
-    if length % 2:
-        vectors.append(_quarters(1 << length, width))
-    if half % 2:
-        # _quarters of a prefix whose a half is 1 << half, then of one whose
-        # b half is
-        top = _quarters(1 << 2 * half, width)
-        vectors += [top, top << 2 * width]
-    return vectors
+    return (*basis, *(1 << i for i in range(length, width)))
 
 
 def _picker(blocks: Sequence[int], width: int) -> Callable[[int], int]:
@@ -329,30 +322,6 @@ def _rref(vectors: Iterable[int]) -> list[int]:
     return rows
 
 
-def _rank(vectors: Iterable[int]) -> int:
-    """Dimension of the span of ``vectors``: one row per top bit, each
-    vector reduced by the rows until its top bit is new or nothing is left."""
-
-    rows: dict[int, int] = {}
-    for x in vectors:
-        while x:
-            top = x.bit_length()
-            if top not in rows:
-                rows[top] = x
-                break
-            x ^= rows[top]
-    return len(rows)
-
-
-def _reduce(x: int, rows: Sequence[int]) -> int:
-    """The representative of x + span(rows) with every pivot bit clear."""
-
-    for r in rows:
-        if x ^ r < x:
-            x ^= r
-    return x
-
-
 def _plan(
     pairs: Sequence[tuple[int, int]], width_v: int, width_w: int
 ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, int], ...]]:
@@ -385,7 +354,7 @@ def _choose(
 
     def rank(side: tuple[int, ...]) -> int:
         keep = sum(one << i * width for i in side)
-        return _rank(v & keep for v in vectors)
+        return len(_rref(v & keep for v in vectors))
 
     blocks = range(count)
     splits = [
@@ -406,11 +375,12 @@ def _step(node: _Node, offset: int, cache: CosetCache) -> Handle:
 
     left, right = node.left, node.right
     if left is None:
-        if node.free:
-            return cache.intern(WeightEnumerator([1, 1]))
-        return cache.intern(WeightEnumerator.x() if offset else WeightEnumerator.one())
+        # the one-bit word u_0 weighs u_0
+        value = WeightEnumerator([1, 1]) if node.free else WeightEnumerator.monomial(offset)
+        return cache.intern(value)
     a, b = node.cut(offset)
-    # ``_reduce`` by K_v and K_w, inline: this runs once per set summed
+    # clear the pivot bits of K_v and K_w: the children's sums are keyed by
+    # reduced offsets
     for r in node.k_v:
         if a ^ r < a:
             a ^= r
@@ -418,7 +388,6 @@ def _step(node: _Node, offset: int, cache: CosetCache) -> Handle:
         if b ^ r < b:
             b ^= r
     low, high = node.low, node.high
-    base = left.left is None
     get, put = cache.get, cache.put
     counts: dict[tuple[Handle, Handle], int] = {}
     # the boxes in blocks of ``low``, each block moved by one ``high``
@@ -429,18 +398,15 @@ def _step(node: _Node, offset: int, cache: CosetCache) -> Handle:
         for da, db in low:
             da ^= a
             db ^= b
-            if base:
-                pair = (_step(left, da, cache), _step(right, db, cache))
-            else:
-                x = get(left, da)
-                if x is None:
-                    x = _step(left, da, cache)
-                    put(left, da, x)
-                y = get(right, db)
-                if y is None:
-                    y = _step(right, db, cache)
-                    put(right, db, y)
-                pair = (x, y)
+            x = get(left, da)
+            if x is None:
+                x = _step(left, da, cache)
+                put(left, da, x)
+            y = get(right, db)
+            if y is None:
+                y = _step(right, db, cache)
+                put(right, db, y)
+            pair = (x, y)
             counts[pair] = counts.get(pair, 0) + 1
         t += 1
         if t >> len(high):
@@ -465,13 +431,6 @@ def _step(node: _Node, offset: int, cache: CosetCache) -> Handle:
     return result
 
 
-def _check_length(n: int, length: int) -> None:
-    if n < 1 or n & (n - 1):
-        raise ValueError(f"block length {n} is not a power of two")
-    if not 0 <= length <= n:
-        raise ValueError(f"prefix length {length} out of range for block length {n}")
-
-
 def affine_sum(
     n: int,
     length: int,
@@ -484,16 +443,22 @@ def affine_sum(
     Prefixes are ``length``-bit ints with bit i = u_i; the set counts each
     prefix once, so dependent basis vectors are harmless.  Only sets at block
     lengths below n get a sum-table entry in ``cache`` (a private one when
-    None): the engine never asks for the same full-length set twice.
+    None): the engine never asks for the same full-length set twice.  The
+    result belongs to the caller, never to the cache.
     """
 
-    _check_length(n, length)
+    if n < 1 or n & (n - 1):
+        raise ValueError(f"block length {n} is not a power of two")
+    if not 0 <= length <= n:
+        raise ValueError(f"prefix length {length} out of range for block length {n}")
     if any(x < 0 or x >> length for x in (offset, *basis)):
         raise ValueError(f"prefix set has vectors wider than {length} bits")
     if cache is None:
         cache = CosetCache()
-    rows = tuple(_rref(basis))
-    return cache.value(_step(_node(n, length, rows, cache), _reduce(offset, rows), cache))
+    # the offset goes in unreduced: a step reduces only its children's
+    # offsets, and this set gets no sum-table entry
+    handle = _step(_node(n, length, tuple(_rref(basis)), cache), offset, cache)
+    return WeightEnumerator(cache.value(handle).coeffs)
 
 
 def calc_a(
@@ -510,12 +475,10 @@ def calc_a(
     if any(b not in (0, 1) for b in prefix):
         raise ValueError(f"prefix entries must be 0 or 1, got {list(prefix)!r}")
     length = len(prefix)
-    _check_length(n, length + 1)
     p = sum(1 << i for i, b in enumerate(prefix) if b)
     if cache is None:
         cache = CosetCache()
-    node = _node(n, length + 1, (), cache)
     return (
-        cache.value(_step(node, p, cache)),
-        cache.value(_step(node, p | 1 << length, cache)),
+        affine_sum(n, length + 1, p, (), cache),
+        affine_sum(n, length + 1, p | 1 << length, (), cache),
     )

@@ -2,26 +2,29 @@
 reduced recursion for decreasing monomial codes, cost estimates, and automatic
 strategy selection (including the dual/MacWilliams detour).
 
-The direct route covers one coset per assignment of the red bits (2^gamma
-of them).  Every freeze constraint is affine, so their prefixes form one
-affine set, built from gamma + 1 prefixes and summed by ``coset.affine_sum``
-in one recursion; the work grows with how much each level mixes the two
-halves of the codeword, not with 2^gamma.  The reduced route repeatedly
-freezes the first unfrozen row f: the subsets where f is frozen to 1 and the
-single-shift-related red rows take all values form one orbit of the
-lower-triangular affine group, so a single coset enumerator stands for
-2^{|S|} of them.  Each orbit's representatives are again one affine prefix
-set (offset 1 << f, spanned by the unit vectors of its free red rows), so
-``affine_sum`` sums each orbit directly.  Evaluation is single-threaded.
+Both routes write the code as a list of affine prefix sets, each with a
+multiplier, and one loop sums them with ``coset.affine_sum``, reading each
+set's coset count off its sum to check the route's prediction.  The direct
+route covers one coset per assignment of the red bits (2^gamma of them).
+Every freeze constraint is affine, so their prefixes form one affine set,
+built from gamma + 1 prefixes, with multiplier 1; the work grows with how
+much each level mixes the two halves of the codeword, not with 2^gamma.
+The reduced route repeatedly freezes the first unfrozen row f: the subsets
+where f is frozen to 1 and the single-shift-related red rows take all
+values form one orbit of the lower-triangular affine group, so a single
+coset enumerator stands for 2^{|S|} of them.  Each orbit's representatives
+are again one affine prefix set (offset 1 << f, spanned by the unit vectors
+of its free red rows), with multiplier 2^{|S|}, and the all-zero coset
+completes the list.  Evaluation is single-threaded.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .codespec import CodeSpec, Profile, dual_spec, profile
-from .coset import CosetCache, affine_sum, calc_a
+from .coset import CosetCache, affine_sum, calc_a  # calc_a: perfbench's self-test reads it here
 from .monomials import _predecessor_masks
 from .wef import WeightEnumerator, macwilliams
 
@@ -140,6 +143,57 @@ def _coset_prefix(spec: CodeSpec, prof: Profile, assignment: int) -> int:
     return sum(b << i for i, b in enumerate(u))
 
 
+def _sum_sets(
+    spec: CodeSpec,
+    prof: Profile,
+    route: str,
+    predicted: int,
+    sets: Iterable[tuple[int, Sequence[int], int]],
+    budget: int,
+    cache: Optional[CosetCache],
+    stats: Optional[EngineStats],
+    progress: Optional[ProgressFn],
+) -> WeightEnumerator:
+    """Sum of a route's affine sets of (s+1)-bit prefixes, each (offset,
+    basis, multiplier) counted multiplier times; ``sets`` is read only once
+    the budget check passes.
+
+    The cosets of each set are counted off its sum (a coset with an
+    (s+1)-bit prefix holds 2^{n-1-s} words); raises AssertionError if their
+    total differs from ``predicted``.
+    """
+
+    if predicted > budget:
+        raise BudgetExceeded(f"{route} route needs {predicted} cosets, budget is {budget}")
+    if cache is None:
+        cache = CosetCache()
+    tail_bits = spec.n - 1 - prof.s  # information bits every coset leaves free
+    acc = None
+    evaluated = 0
+    for offset, basis, multiplier in sets:
+        term = affine_sum(spec.n, prof.s + 1, offset, basis, cache)
+        evaluated += term.eval_at_one() >> tail_bits
+        if multiplier > 1:
+            term = term.scale(multiplier)
+        acc = term if acc is None else acc + term
+        if progress is not None:
+            progress(evaluated, predicted)
+    if stats is not None:
+        stats.cosets_evaluated += evaluated
+    if evaluated != predicted:
+        raise AssertionError(f"{route} route evaluated {evaluated} cosets, predicted {predicted}")
+    return acc
+
+
+def _direct_sets(spec: CodeSpec, prof: Profile) -> Iterator[tuple[int, list[int], int]]:
+    """The direct route's one set: every freeze constraint is affine, so the
+    prefixes u_0..u_s of all assignments are prefix(0) + span(prefix(2^j)
+    xor prefix(0)).  Yielded, so that it is built after the budget check."""
+
+    offset = _coset_prefix(spec, prof, 0)
+    yield offset, [_coset_prefix(spec, prof, 1 << j) ^ offset for j in range(prof.gamma)], 1
+
+
 def wef_direct(
     spec: CodeSpec,
     *,
@@ -151,30 +205,22 @@ def wef_direct(
 ) -> WeightEnumerator:
     """Weight enumerator as one sum over the 2^gamma red-bit assignments.
 
-    Every freeze constraint is affine, so the prefixes u_0..u_s of all
-    assignments form the affine set prefix(0) + span(prefix(2^j) xor
-    prefix(0)), and ``affine_sum`` adds their cosets in one recursion.
-    Rate-1 codes have no frozen bit and fall outside the coset decomposition;
-    they get the closed-form full-space enumerator.  ``threads`` is accepted
-    and ignored, for callers written against the old thread pool: evaluation
-    is single-threaded.
+    The prefixes of all assignments form one affine set, and ``affine_sum``
+    adds their cosets in one recursion.  The cosets are counted off the sum;
+    raises AssertionError if they are not 2^gamma.  Rate-1 codes have no
+    frozen bit and fall outside the coset decomposition; they get the
+    closed-form full-space enumerator.  ``threads`` is accepted and ignored,
+    for callers written against the old thread pool: evaluation is
+    single-threaded.
     """
 
     prof = profile(spec)
     if prof.s is None:
         return WeightEnumerator.binomial(spec.n)
-    total = 1 << prof.gamma
-    if total > budget:
-        raise BudgetExceeded(f"direct route needs {total} cosets, budget is {budget}")
-    if stats is None:
-        stats = EngineStats()
-    offset = _coset_prefix(spec, prof, 0)
-    basis = [_coset_prefix(spec, prof, 1 << j) ^ offset for j in range(prof.gamma)]
-    result = affine_sum(spec.n, prof.s + 1, offset, basis, cache)
-    stats.cosets_evaluated += total
-    if progress is not None:
-        progress(total, total)
-    return result
+    return _sum_sets(
+        spec, prof, "direct", 1 << prof.gamma, _direct_sets(spec, prof),
+        budget, cache, stats, progress,
+    )
 
 
 def wef_lta(
@@ -188,11 +234,10 @@ def wef_lta(
     """Reduced-complexity enumerator for plain decreasing monomial codes.
 
     Each orbit of ``_orbits`` is one affine prefix set, offset 1 << f plus
-    the span of its free red rows' unit vectors; its ``affine_sum`` is
-    counted 2^{|S|} times, and the all-zero coset completes the sum.  The
-    cosets of each orbit are counted off its sum (a coset with an (s+1)-bit
-    prefix holds 2^{n-1-s} words); raises AssertionError if their total
-    differs from the prediction.
+    the span of its free red rows' unit vectors, whose sum counts 2^{|S|}
+    times; the all-zero coset completes the sum.  The cosets are counted
+    off the sums; raises AssertionError if their total differs from the
+    prediction.
     """
 
     if not spec.is_plain:
@@ -203,32 +248,12 @@ def wef_lta(
     if prof.s is None:
         return WeightEnumerator.binomial(spec.n)
     orbits = _orbits(spec.m, prof.red)
-    predicted = _lta_coset_count(orbits)
-    if predicted > budget:
-        raise BudgetExceeded(f"reduced route needs {predicted} cosets, budget is {budget}")
-    if stats is None:
-        stats = EngineStats()
-    if cache is None:
-        cache = CosetCache()
-
-    start = stats.cosets_evaluated
-    tail_bits = spec.n - 1 - prof.s  # information bits every coset leaves free
-    acc = WeightEnumerator.zero()
-    for f, free, shifts in orbits:
-        c_wef = affine_sum(spec.n, prof.s + 1, 1 << f, [1 << i for i in free], cache)
-        stats.cosets_evaluated += c_wef.eval_at_one() >> tail_bits
-        acc = acc + c_wef.scale(1 << shifts)
-        if progress is not None:
-            progress(stats.cosets_evaluated - start, predicted)
+    sets = [(1 << f, [1 << i for i in free], 1 << shifts) for f, free, shifts in orbits]
     # every red row frozen to 0, and u_s = 0 because the spec is plain
-    acc = acc + calc_a(spec.n, (0,) * prof.s, cache)[0]
-    stats.cosets_evaluated += 1
-    evaluated = stats.cosets_evaluated - start
-    if progress is not None:
-        progress(evaluated, predicted)
-    if evaluated != predicted:
-        raise AssertionError(f"reduced route evaluated {evaluated} cosets, predicted {predicted}")
-    return acc
+    sets.append((0, (), 1))
+    return _sum_sets(
+        spec, prof, "reduced", _lta_coset_count(orbits), sets, budget, cache, stats, progress
+    )
 
 
 def wef_auto(
@@ -273,18 +298,12 @@ def wef_auto(
     predicted, route = min(admissible, key=lambda cr: (cr[0], preference[cr[1]]))
 
     stats = EngineStats()
-    kwargs = dict(budget=budget, stats=stats, progress=progress)
-    if route == "direct":
-        wef = wef_direct(spec, **kwargs)
-    elif route == "lta":
-        wef = wef_lta(spec, **kwargs)
-    else:
-        dual = dual_spec(spec)
-        if route == "dual+direct":
-            dual_wef = wef_direct(dual, **kwargs)
-        else:
-            dual_wef = wef_lta(dual, **kwargs)
-        wef = macwilliams(dual_wef, spec.n, dual.k)
+    dual = route.startswith("dual+")
+    target = dual_spec(spec) if dual else spec
+    run = wef_lta if route.endswith("lta") else wef_direct
+    wef = run(target, budget=budget, stats=stats, progress=progress)
+    if dual:
+        wef = macwilliams(wef, spec.n, target.k)
     if wef.eval_at_one() != 1 << spec.k:
         raise AssertionError(f"enumerator sums to {wef.eval_at_one()}, expected 2^{spec.k}")
     report = Report(

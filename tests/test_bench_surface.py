@@ -77,9 +77,9 @@ def test_recursion_reaches_traced_callables(monkeypatch):
 def test_traced_cache_counts_pinned(monkeypatch):
     # the tracer counts the recursion's lookups and stores by wrapping these
     # two methods by name.  PAC(32,16)'s direct set, split into its quarter
-    # blocks, takes 2,464 lookups (two per box of each step above n = 2) and
-    # 212 stores (one per distinct set); a lookup or store that bypasses the
-    # methods changes these counts
+    # blocks, takes 2,472 lookups (two per box of each step, the steps at
+    # n = 2 over base nodes included) and 214 stores (one per distinct set);
+    # a lookup or store that bypasses the methods changes these counts
     calls = {"get": 0, "put": 0}
     for name in calls:
         method = getattr(CosetCache, name)
@@ -92,5 +92,5 @@ def test_traced_cache_counts_pinned(monkeypatch):
     pac32 = pac_spec(5, from_rm(2, 5).unfrozen, [1, 0, 1, 1, 0, 1, 1])
     cache = CosetCache()
     wef_direct(pac32, cache=cache)
-    assert calls == {"get": 2464, "put": 212}
-    assert len(cache) == 212
+    assert calls == {"get": 2472, "put": 214}
+    assert len(cache) == 214

@@ -25,6 +25,24 @@ def hamming16_file(tmp_path):
     return str(path)
 
 
+def _wef_with_capped_memory(tmp_path, obj):
+    """``wef`` on the spec ``obj`` in a subprocess whose address space is
+    capped, so that a regression fails fast instead of exhausting memory;
+    one BLAS thread keeps numpy's import under the cap."""
+
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(obj))
+    limit = 1 << 30
+    return subprocess.run(
+        [sys.executable, "-m", "polarwd.cli", "wef", "--spec", str(path)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+
+
 def invoke(capsys, *argv):
     code = run(list(argv))
     captured = capsys.readouterr()
@@ -159,19 +177,14 @@ class TestErrors:
         assert (code, out) == (1, "") and "ERROR[spec_invalid]" in err
 
     def test_huge_m_rejected_promptly(self, tmp_path):
-        path = tmp_path / "huge.json"
-        path.write_text(json.dumps({"m": 40, "frozen": []}))
-        # cap the address space so that a regression fails fast instead of
-        # exhausting memory; one BLAS thread keeps numpy's import under the cap
-        limit = 1 << 30
-        proc = subprocess.run(
-            [sys.executable, "-m", "polarwd.cli", "wef", "--spec", str(path)],
-            capture_output=True,
-            text=True,
-            timeout=60,
-            env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
-            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
-        )
+        proc = _wef_with_capped_memory(tmp_path, {"m": 40, "frozen": []})
+        assert proc.returncode == 1 and "ERROR[spec_invalid]" in proc.stderr
+
+    def test_large_pac_rejected_promptly(self, tmp_path):
+        # PAC supports are dense: m = 13 took 16 s and 1.3 GB to load before
+        # the loader bounded pac specs by the matrix guard
+        obj = {"construction": "pac", "m": 13, "profile": [8191], "taps": [1, 0, 1, 1, 0, 1, 1]}
+        proc = _wef_with_capped_memory(tmp_path, obj)
         assert proc.returncode == 1 and "ERROR[spec_invalid]" in proc.stderr
 
     def test_unknown_flag(self, capsys, hamming16_file):
@@ -279,6 +292,17 @@ class TestOtherCommands:
 
     def test_max_mixing_factor(self, capsys):
         assert invoke(capsys, "max-mixing-factor", "--m", "10")[:2] == (0, "721\n")
+
+    def test_max_mixing_factor_m_bounded(self):
+        # the search grows 3.3-4x per step of m, so m = 17 would run for
+        # minutes; a subprocess ends a regression at the timeout
+        proc = subprocess.run(
+            [sys.executable, "-m", "polarwd.cli", "max-mixing-factor", "--m", "17"],
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        assert (proc.returncode, proc.stdout) == (1, "") and "ERROR[bad_m]" in proc.stderr
 
     def test_max_mixing_factor_rate_half(self, capsys):
         assert invoke(capsys, "max-mixing-factor", "--m", "10", "--rate-half")[:2] == (

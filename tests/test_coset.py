@@ -390,9 +390,10 @@ class TestHashConsing:
         assert cache.values.count(WeightEnumerator([0, 1])) == 1
 
     def test_id_zero_is_a_hit(self, monkeypatch):
-        # u = 0 at n = 4 has the half u = (0, 0) at n = 2 on both sides; its
-        # sum 1 is the value of its own halves, stored first, so the second
-        # lookup finds id 0 and must read it as a hit
+        # u = 0 at n = 4 has the half u = (0, 0) at n = 2 on both sides, and
+        # that half has the bit u = 0 at n = 1 on both of its sides; each sum
+        # is 1, stored first under id 0, so each second lookup finds id 0
+        # and must read it as a hit
         puts = []
         put = CosetCache.put
         monkeypatch.setattr(
@@ -400,11 +401,26 @@ class TestHashConsing:
         )
         cache = CosetCache()
         assert affine_sum(4, 4, 0, (), cache) == WeightEnumerator([1])
-        node = cache.nodes[2, 2, ()]
-        assert node.sums == {0: 0} and puts == [(node, 0, 0)]
-        assert cache.get(node, 0) == 0
+        base, node = cache.nodes[1, 1, ()], cache.nodes[2, 2, ()]
+        assert base.sums == node.sums == {0: 0}
+        assert puts == [(base, 0, 0), (node, 0, 0)]
+        assert cache.get(base, 0) == cache.get(node, 0) == 0
         monkeypatch.setattr(CosetCache, "put", lambda *_: pytest.fail("recomputed"))
         assert affine_sum(4, 4, 0, (), cache) == WeightEnumerator([1])
+
+    def test_results_belong_to_the_caller(self):
+        # a result that shared the cache's stored value would carry the
+        # caller's edit into the next sum of the same set
+        cache = CosetCache()
+        for total in (
+            lambda: wef_direct(from_rm(2, 5), cache=cache),
+            lambda: affine_sum(16, 4, 0b0110, [0b0011], cache),
+            lambda: calc_a(16, (0, 1), cache)[1],
+        ):
+            first = total()
+            expected = list(first.coeffs)
+            first.coeffs[0] = 99
+            assert total().coeffs == expected
 
     def test_values_stored_once(self):
         cache = CosetCache()

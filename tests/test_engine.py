@@ -73,6 +73,14 @@ class TestDirect:
         assert calls == [0, 1, 2, 4, 8]
         assert stats.cosets_evaluated == 16
 
+    def test_evaluated_cosets_checked_against_prediction(self, hamming16_spec, monkeypatch):
+        # a sum that misses its cosets breaks the count read off it
+        monkeypatch.setattr(
+            "polarwd.engine.affine_sum", lambda *_: WeightEnumerator.zero()
+        )
+        with pytest.raises(AssertionError, match="predicted 16"):
+            wef_direct(hamming16_spec)
+
     def test_progress_reported_once(self, hamming16_spec):
         seen = []
         wef_direct(hamming16_spec, progress=lambda d, t: seen.append((d, t)))

@@ -1,0 +1,37 @@
+"""The command-line scripts under ``scripts/``, each run as its own process."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+from polarwd import max_mixing_factor, max_mixing_factor_rate_half
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def run_script(name, *args):
+    return subprocess.run(
+        [sys.executable, str(SCRIPTS / name), *args],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+def test_128_64_dry_run_prints_coset_counts():
+    proc = run_script("run_128_64_distribution.py", "--dry-run")
+    assert (proc.returncode, proc.stdout) == (0, "")
+    # 2^37 cosets on the direct route, 60,752,896 on the reduced one
+    assert "direct: 137438953472 cosets" in proc.stderr
+    assert "reduced: 60752896 cosets" in proc.stderr
+
+
+def test_mixing_factor_tables():
+    proc = run_script("reproduce_mixing_factor_tables.py", "--max-m", "5")
+    assert proc.returncode == 0
+    header, *rows = proc.stdout.splitlines()
+    assert header.split() == ["m", "n", "gamma_max", "rate<=1/2"]
+    assert [row.split() for row in rows] == [
+        [str(m), str(1 << m), str(max_mixing_factor(m)[0]), str(max_mixing_factor_rate_half(m))]
+        for m in range(1, 6)
+    ]
