@@ -8,6 +8,7 @@ convolutional precoding, and arbitrary binary linear codes.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
@@ -61,8 +62,9 @@ class Profile:
 class CodeSpec:
     """An immutable length-2^m code: per-index freeze status plus a label.
 
-    Whether the unfrozen set is decreasing, and the dual, are worked out once
-    per instance: route selection and the routes themselves both ask.
+    Whether the spec is plain, whether its unfrozen set is decreasing, and
+    its dual are worked out once per instance: route selection and the
+    routes themselves all ask.
     """
 
     m: int
@@ -95,7 +97,7 @@ class CodeSpec:
     def frozen(self) -> tuple[int, ...]:
         return tuple(i for i, st in enumerate(self.statuses) if st is not None)
 
-    @property
+    @cached_property
     def is_plain(self) -> bool:
         return all(st is None or st.is_plain for st in self.statuses)
 
@@ -309,27 +311,32 @@ def dual_spec(spec: CodeSpec) -> CodeSpec:
 
 
 def _json_m(obj: dict, limit: int = MAX_JSON_M) -> int:
-    m = int(obj["m"])
+    m = operator.index(obj["m"])
     if m > limit:
         raise ValueError(f"m={m} exceeds the limit of {limit}")
     return m
 
 
 def spec_from_json(obj: dict) -> CodeSpec:
-    """Build a spec from the JSON schema accepted by the CLI."""
+    """Build a spec from the JSON schema accepted by the CLI.
+
+    Integer fields are read with ``operator.index``: a float or a string
+    where an integer belongs raises TypeError instead of being truncated
+    (bools count as integers).
+    """
 
     if not isinstance(obj, dict):
         raise ValueError("spec JSON must be an object")
     construction = obj.get("construction")
     if construction == "rm":
-        return from_rm(int(obj["r"]), _json_m(obj))
+        return from_rm(operator.index(obj["r"]), _json_m(obj))
     if construction == "bec":
-        return from_bhattacharyya_bec(_json_m(obj), int(obj["k"]), float(obj["erasure"]))
+        return from_bhattacharyya_bec(_json_m(obj), operator.index(obj["k"]), float(obj["erasure"]))
     if construction == "pac":
         # a PAC spec's supports are dense: memory grows 4x per step of m, so
         # it has the generator matrix's bound
         return pac_spec(
-            _json_m(obj, MATRIX_GUARD_M), [int(i) for i in obj["profile"]], obj["taps"]
+            _json_m(obj, MATRIX_GUARD_M), [operator.index(i) for i in obj["profile"]], obj["taps"]
         )
     if construction == "generator":
         return from_generator_matrix(obj["matrix"])
@@ -339,19 +346,19 @@ def spec_from_json(obj: dict) -> CodeSpec:
     m = _json_m(obj)
     n = 1 << m
     if "constraints" in obj:
-        unfrozen = {int(i) for i in obj.get("unfrozen", [])}
+        unfrozen = {operator.index(i) for i in obj.get("unfrozen", [])}
         if any(not 0 <= i < n for i in unfrozen):
             raise ValueError("unfrozen index out of range")
         statuses: list[Optional[FreezeConstraint]] = [None] * n
         constrained = set()
         for c in obj["constraints"]:
-            target = int(c["target"])
+            target = operator.index(c["target"])
             if not 0 <= target < n:
                 raise ValueError(f"constraint target {target} out of range for n={n}")
             statuses[target] = FreezeConstraint(
                 target,
-                frozenset(int(j) for j in c.get("support", [])),
-                int(c.get("constant", 0)),
+                frozenset(operator.index(j) for j in c.get("support", [])),
+                operator.index(c.get("constant", 0)),
             )
             constrained.add(target)
         for i in range(n):
@@ -361,9 +368,9 @@ def spec_from_json(obj: dict) -> CodeSpec:
             raise ValueError("an index appears as both unfrozen and constrained")
         return CodeSpec(m, tuple(statuses))
     if "frozen" in obj:
-        return from_frozen_set(m, [int(i) for i in obj["frozen"]])
+        return from_frozen_set(m, [operator.index(i) for i in obj["frozen"]])
     if "unfrozen" in obj:
-        return from_unfrozen_set(m, [int(i) for i in obj["unfrozen"]])
+        return from_unfrozen_set(m, [operator.index(i) for i in obj["unfrozen"]])
     raise ValueError("spec JSON needs 'frozen', 'unfrozen', 'constraints', or 'construction'")
 
 

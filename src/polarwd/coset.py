@@ -310,16 +310,18 @@ def _rref(vectors: Iterable[int]) -> list[int]:
     """Reduced row echelon basis of the span of ``vectors``, pivots (the top
     bits) descending; every pivot bit is clear in every other row."""
 
-    rows: list[int] = []
+    rows: dict[int, int] = {}  # pivot bit -> row
     for x in vectors:
-        for r in rows:
-            x = min(x, x ^ r)
+        for pivot, r in rows.items():
+            if x & pivot:
+                x ^= r
         if x:
             pivot = 1 << x.bit_length() - 1
-            rows = [r ^ x if r & pivot else r for r in rows]
-            rows.append(x)
-            rows.sort(reverse=True)
-    return rows
+            for p, r in rows.items():
+                if r & pivot:
+                    rows[p] = r ^ x
+            rows[pivot] = x
+    return sorted(rows.values(), reverse=True)
 
 
 def _plan(

@@ -4,11 +4,13 @@ strategy selection (including the dual/MacWilliams detour).
 
 Both routes write the code as a list of affine prefix sets, each with a
 multiplier, and one loop sums them with ``coset.affine_sum``, reading each
-set's coset count off its sum to check the route's prediction.  The direct
-route covers one coset per assignment of the red bits (2^gamma of them).
-Every freeze constraint is affine, so their prefixes form one affine set,
-built from gamma + 1 prefixes, with multiplier 1; the work grows with how
-much each level mixes the two halves of the codeword, not with 2^gamma.
+set's coset count off its sum to check the route's prediction; that loop
+also gives a rate-one code its closed form.  The direct route covers one
+coset per assignment of the red bits (2^gamma of them).  Every freeze
+constraint is affine, so their prefixes form one affine set with
+multiplier 1, built in one causal pass that carries each bit as its
+offset and red-bit coefficients; the work grows with how much each level
+mixes the two halves of the codeword, not with 2^gamma.
 The reduced route repeatedly freezes the first unfrozen row f: the subsets
 where f is frozen to 1 and the single-shift-related red rows take all
 values form one orbit of the lower-triangular affine group, so a single
@@ -31,6 +33,8 @@ from .wef import WeightEnumerator, macwilliams
 DEFAULT_BUDGET = 1 << 28
 
 ProgressFn = Callable[[int, int], None]
+# an affine set of prefixes, offset + span(basis), and the times it counts
+PrefixSet = tuple[int, Sequence[int], int]
 
 
 class BudgetExceeded(RuntimeError):
@@ -91,56 +95,38 @@ def _orbits(m: int, red: Sequence[int]) -> list[tuple[int, tuple[int, ...], int]
     return orbits
 
 
-def _lta_coset_count(orbits: Sequence[tuple[int, tuple[int, ...], int]]) -> int:
-    """Cosets the reduced route evaluates: 2^{|free|} per orbit, plus the
-    all-zero coset left once every red row is peeled."""
+def _lta_route(spec: CodeSpec, prof: Profile) -> Optional[tuple[int, list[PrefixSet]]]:
+    """The reduced route on ``spec``: None unless the spec is plain and
+    decreasing, else its coset count and its (offset, basis, multiplier)
+    sets.
 
-    return 1 + sum(1 << len(free) for _, free, _ in orbits)
+    Each orbit of ``_orbits`` is one set, offset 1 << f plus the span of
+    its free red rows' unit vectors, counted 2^{|S|} times; the all-zero
+    coset (every red row frozen to 0, and u_s = 0 because the spec is
+    plain) completes the list.  A rate-one code has no sets and no cosets.
+    """
 
-
-def _lta_cosets(spec: CodeSpec, prof: Profile) -> Optional[int]:
-    """The reduced route's coset count on a plain spec: None unless the spec
-    is decreasing, 0 for rate one."""
-
-    if not spec.is_decreasing_code():
+    if not (spec.is_plain and spec.is_decreasing_code()):
         return None
-    return 0 if prof.s is None else _lta_coset_count(_orbits(spec.m, prof.red))
+    if prof.s is None:
+        return 0, []
+    orbits = _orbits(spec.m, prof.red)
+    sets: list[PrefixSet] = [
+        (1 << f, [1 << i for i in free], 1 << shifts) for f, free, shifts in orbits
+    ]
+    sets.append((0, (), 1))
+    return sum(1 << len(basis) for _, basis, _ in sets), sets
 
 
 def estimate_cost(spec: CodeSpec) -> CostEstimate:
     """Coset counts for direct, reduced, and dual strategies, where defined."""
 
-    prof = profile(spec)
-    if not spec.is_plain:
-        return CostEstimate(1 << prof.gamma)
-    dual = dual_spec(spec)
-    dual_prof = profile(dual)
-    return CostEstimate(
-        1 << prof.gamma,
-        _lta_cosets(spec, prof),
-        1 << dual_prof.gamma,
-        _lta_cosets(dual, dual_prof),
-    )
-
-
-def _coset_prefix(spec: CodeSpec, prof: Profile, assignment: int) -> int:
-    """Information prefix u_0..u_s as an int with bit i = u_i.
-
-    The red bits take the assignment's bits (first red bit is the most
-    significant, so assignments run in lexicographic order); frozen bits,
-    u_s included, resolve their constraints causally.
-    """
-
-    u: list[int] = []
-    red_pos = 0
-    for i in range(prof.s + 1):
-        st = spec.statuses[i]
-        if st is None:
-            u.append(assignment >> (prof.gamma - 1 - red_pos) & 1)
-            red_pos += 1
-        else:
-            u.append(st.value(u))
-    return sum(b << i for i, b in enumerate(u))
+    counts: list[Optional[int]] = []
+    for target in (spec, dual_spec(spec)) if spec.is_plain else (spec,):
+        prof = profile(target)
+        route = _lta_route(target, prof)
+        counts += [1 << prof.gamma, None if route is None else route[0]]
+    return CostEstimate(*counts)
 
 
 def _sum_sets(
@@ -148,7 +134,7 @@ def _sum_sets(
     prof: Profile,
     route: str,
     predicted: int,
-    sets: Iterable[tuple[int, Sequence[int], int]],
+    sets: Iterable[PrefixSet],
     budget: int,
     cache: Optional[CosetCache],
     stats: Optional[EngineStats],
@@ -158,11 +144,16 @@ def _sum_sets(
     basis, multiplier) counted multiplier times; ``sets`` is read only once
     the budget check passes.
 
-    The cosets of each set are counted off its sum (a coset with an
-    (s+1)-bit prefix holds 2^{n-1-s} words); raises AssertionError if their
-    total differs from ``predicted``.
+    A rate-one code has no frozen bit and falls outside the coset
+    decomposition: it gets the closed-form full-space enumerator, before
+    the budget check and with no coset counted.  Otherwise the cosets of
+    each set are counted off its sum (a coset with an (s+1)-bit prefix
+    holds 2^{n-1-s} words); raises AssertionError if their total differs
+    from ``predicted``.
     """
 
+    if prof.s is None:
+        return WeightEnumerator.binomial(spec.n)
     if predicted > budget:
         raise BudgetExceeded(f"{route} route needs {predicted} cosets, budget is {budget}")
     if cache is None:
@@ -185,13 +176,26 @@ def _sum_sets(
     return acc
 
 
-def _direct_sets(spec: CodeSpec, prof: Profile) -> Iterator[tuple[int, list[int], int]]:
-    """The direct route's one set: every freeze constraint is affine, so the
-    prefixes u_0..u_s of all assignments are prefix(0) + span(prefix(2^j)
-    xor prefix(0)).  Yielded, so that it is built after the budget check."""
+def _direct_sets(spec: CodeSpec, prof: Profile) -> Iterator[PrefixSet]:
+    """The direct route's one set, built in one causal pass over u_0..u_s.
 
-    offset = _coset_prefix(spec, prof, 0)
-    yield offset, [_coset_prefix(spec, prof, 1 << j) ^ offset for j in range(prof.gamma)], 1
+    Each u_i is an int over gamma + 1 columns: red bit r is 1 << (r + 1),
+    and a frozen bit resolves its constraint on these ints, so its constant
+    lands in bit 0.  Every freeze constraint is affine, so column 0 over
+    all u_i is the offset and column r + 1 is basis vector r.  Yielded, so
+    that it is built after the budget check.
+    """
+
+    u: list[int] = []
+    red = 0
+    for st in spec.statuses[: prof.s + 1]:
+        if st is None:
+            red += 1
+            u.append(1 << red)
+        else:
+            u.append(st.value(u))
+    offset, *basis = (sum((x >> c & 1) << i for i, x in enumerate(u)) for c in range(red + 1))
+    yield offset, basis, 1
 
 
 def wef_direct(
@@ -205,18 +209,14 @@ def wef_direct(
 ) -> WeightEnumerator:
     """Weight enumerator as one sum over the 2^gamma red-bit assignments.
 
-    The prefixes of all assignments form one affine set, and ``affine_sum``
-    adds their cosets in one recursion.  The cosets are counted off the sum;
-    raises AssertionError if they are not 2^gamma.  Rate-1 codes have no
-    frozen bit and fall outside the coset decomposition; they get the
-    closed-form full-space enumerator.  ``threads`` is accepted and ignored,
-    for callers written against the old thread pool: evaluation is
-    single-threaded.
+    The prefixes of all assignments form one affine set (``_direct_sets``),
+    and ``affine_sum`` adds their cosets in one recursion.  The cosets are
+    counted off the sum; raises AssertionError if they are not 2^gamma.
+    ``threads`` is accepted and ignored, for callers written against the
+    old thread pool: evaluation is single-threaded.
     """
 
     prof = profile(spec)
-    if prof.s is None:
-        return WeightEnumerator.binomial(spec.n)
     return _sum_sets(
         spec, prof, "direct", 1 << prof.gamma, _direct_sets(spec, prof),
         budget, cache, stats, progress,
@@ -231,29 +231,17 @@ def wef_lta(
     stats: Optional[EngineStats] = None,
     progress: Optional[ProgressFn] = None,
 ) -> WeightEnumerator:
-    """Reduced-complexity enumerator for plain decreasing monomial codes.
-
-    Each orbit of ``_orbits`` is one affine prefix set, offset 1 << f plus
-    the span of its free red rows' unit vectors, whose sum counts 2^{|S|}
-    times; the all-zero coset completes the sum.  The cosets are counted
-    off the sums; raises AssertionError if their total differs from the
-    prediction.
+    """Reduced-complexity enumerator for plain decreasing monomial codes:
+    the sum of the sets of ``_lta_route``.  Raises StrategyInadmissible on
+    any other spec.  The cosets are counted off the sums; raises
+    AssertionError if their total differs from the prediction.
     """
 
-    if not spec.is_plain:
-        raise StrategyInadmissible("the reduced route requires a plain spec")
-    if not spec.is_decreasing_code():
-        raise StrategyInadmissible("the reduced route requires a decreasing unfrozen set")
     prof = profile(spec)
-    if prof.s is None:
-        return WeightEnumerator.binomial(spec.n)
-    orbits = _orbits(spec.m, prof.red)
-    sets = [(1 << f, [1 << i for i in free], 1 << shifts) for f, free, shifts in orbits]
-    # every red row frozen to 0, and u_s = 0 because the spec is plain
-    sets.append((0, (), 1))
-    return _sum_sets(
-        spec, prof, "reduced", _lta_coset_count(orbits), sets, budget, cache, stats, progress
-    )
+    route = _lta_route(spec, prof)
+    if route is None:
+        raise StrategyInadmissible("the reduced route requires a plain decreasing spec")
+    return _sum_sets(spec, prof, "reduced", *route, budget, cache, stats, progress)
 
 
 def wef_auto(
@@ -275,27 +263,21 @@ def wef_auto(
     if strategy not in ("auto", "direct", "lta"):
         raise StrategyInadmissible(f"unknown strategy {strategy!r}")
     cost = estimate_cost(spec)
-    candidates: list[tuple[int, str]] = []
-    if strategy in ("auto", "direct"):
-        candidates.append((cost.direct_cosets, "direct"))
-    if strategy in ("auto", "lta") and cost.lta_cosets is not None:
-        candidates.append((cost.lta_cosets, "lta"))
     if strategy == "lta" and cost.lta_cosets is None:
         raise StrategyInadmissible("the reduced route is not admissible for this spec")
-    if allow_dual and strategy == "auto":
-        if cost.dual_direct_cosets is not None:
-            candidates.append((cost.dual_direct_cosets, "dual+direct"))
-        if cost.dual_lta_cosets is not None:
-            candidates.append((cost.dual_lta_cosets, "dual+lta"))
-    admissible = [(c, r) for c, r in candidates if c <= budget]
+    # in tie order: min keeps the first of equal counts, so ties prefer the
+    # simpler route (no dual detour, no MacWilliams step)
+    routes = {"lta": cost.lta_cosets, "direct": cost.direct_cosets}
+    if allow_dual:
+        routes.update({"dual+lta": cost.dual_lta_cosets, "dual+direct": cost.dual_direct_cosets})
+    candidates = {r: c for r, c in routes.items() if c is not None and strategy in ("auto", r)}
+    admissible = {r: c for r, c in candidates.items() if c <= budget}
     if not admissible:
         raise BudgetExceeded(
             f"no admissible route within budget {budget}; cheapest candidate "
-            f"needs {min(c for c, _ in candidates)} cosets"
+            f"needs {min(candidates.values())} cosets"
         )
-    # ties prefer the simpler route (no dual detour, no MacWilliams step)
-    preference = {"lta": 0, "direct": 1, "dual+lta": 2, "dual+direct": 3}
-    predicted, route = min(admissible, key=lambda cr: (cr[0], preference[cr[1]]))
+    route, predicted = min(admissible.items(), key=lambda rc: rc[1])
 
     stats = EngineStats()
     dual = route.startswith("dual+")

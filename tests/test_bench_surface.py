@@ -20,6 +20,7 @@ from polarwd import from_rm, pac_spec, wef_direct
 from polarwd.coset import affine_sum
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+SELFTEST_PATH = SPANS_PATH.with_name("selftest.py")
 
 
 def _load_spans():
@@ -94,3 +95,15 @@ def test_traced_cache_counts_pinned(monkeypatch):
     wef_direct(pac32, cache=cache)
     assert calls == {"get": 2472, "put": 214}
     assert len(cache) == 214
+
+
+def test_tracer_selftest(monkeypatch, capsys):
+    # the benchmark's tracer check: two traced runs count alike, wef_auto
+    # reaches wef_lta through the module global, products are counted and
+    # every wrapped callable is restored
+    monkeypatch.syspath_prepend(str(SELFTEST_PATH.parent))
+    spec = importlib.util.spec_from_file_location("perfbench_selftest", SELFTEST_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    module.check_tracing()
+    assert capsys.readouterr().out.startswith("PASS tracing")

@@ -168,6 +168,17 @@ class TestErrors:
             '{"m": Infinity, "unfrozen": []}',
             '{"construction": "generator", "matrix": [[256, 1]]}',
             '{"construction": "pac", "m": 2, "profile": [3], "taps": [1, -Infinity]}',
+            # non-integers where an integer belongs, never truncated
+            '{"m": 3.9, "frozen": [0]}',
+            '{"m": 3, "frozen": [1.7]}',
+            '{"construction": "rm", "r": 1.9, "m": 3}',
+            '{"m": "3", "frozen": [0]}',
+            '{"m": 2, "constraints": [{"target": 2.5, "support": [0.9]}]}',
+            '{"m": 2, "constraints": [{"target": 2, "support": [0.9]}]}',
+            '{"m": 2, "constraints": [{"target": 2, "constant": 1.0}]}',
+            '{"m": 2, "unfrozen": [3.0], "constraints": []}',
+            '{"construction": "bec", "m": 3, "k": 4.5, "erasure": 0.5}',
+            '{"construction": "pac", "m": 2, "profile": [3.0], "taps": [1]}',
         ],
     )
     def test_out_of_range_values_rejected(self, capsys, tmp_path, text):

@@ -54,6 +54,30 @@ class TestEvenOddTransform:
                 assert _split(p) == (xored, odd)
 
 
+def _span(vectors):
+    span = {0}
+    for v in vectors:
+        span |= {x ^ v for x in span}
+    return span
+
+
+class TestRref:
+    def test_random_inputs_keep_their_span(self):
+        rng = random.Random(7)
+        for _ in range(300):
+            width = rng.randrange(1, 12)
+            vectors = [rng.getrandbits(width) for _ in range(rng.randrange(9))]
+            rows = _rref(vectors)
+            pivots = [1 << r.bit_length() - 1 for r in rows]
+            assert all(rows) and pivots == sorted(pivots, reverse=True)
+            assert len(set(pivots)) == len(pivots)
+            for i, pivot in enumerate(pivots):
+                assert all(not r & pivot for j, r in enumerate(rows) if j != i)
+            assert _span(rows) == _span(vectors)
+            # the span has 2^rank elements, so the rows are independent
+            assert len(_span(rows)) == 1 << len(rows)
+
+
 class TestCalcAExamples:
     def test_base_case(self):
         assert calc_a(1, ()) == (WeightEnumerator.one(), WeightEnumerator.x())

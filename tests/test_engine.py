@@ -16,18 +16,38 @@ from polarwd import (
     wef_direct,
     wef_lta,
 )
-from polarwd.codespec import from_frozen_set, profile
+from polarwd.codespec import CodeSpec, FreezeConstraint, from_frozen_set, profile
 from polarwd.monomials import Monomial, single_shift_le
 from polarwd.coset import calc_a
 from polarwd.engine import (
     BudgetExceeded,
     EngineStats,
     StrategyInadmissible,
-    _coset_prefix,
+    _direct_sets,
     _orbits,
 )
 
 from conftest import HAMMING16_WEF, POLAR128_UNFROZEN, POLAR128_WD
+
+
+def _coset_prefix(spec, prof, assignment):
+    """Reference prefix u_0..u_s of one red-bit assignment, bit i = u_i.
+
+    The red bits take the assignment's bits (first red bit is the most
+    significant); frozen bits, u_s included, resolve their constraints
+    causally.
+    """
+
+    u = []
+    red_pos = 0
+    for i in range(prof.s + 1):
+        st = spec.statuses[i]
+        if st is None:
+            u.append(assignment >> (prof.gamma - 1 - red_pos) & 1)
+            red_pos += 1
+        else:
+            u.append(st.value(u))
+    return sum(b << i for i, b in enumerate(u))
 
 
 class TestDirect:
@@ -60,18 +80,44 @@ class TestDirect:
     def test_thread_count_never_changes_result(self, hamming16_spec, threads):
         assert wef_direct(hamming16_spec, threads=threads) == HAMMING16_WEF
 
-    def test_builds_gamma_plus_one_prefixes(self, hamming16_spec, monkeypatch):
+    def test_builds_prefix_set_in_one_pass(self, hamming16_spec, monkeypatch):
+        # one causal pass resolves each frozen bit of u_0..u_s once
         calls = []
+        value = FreezeConstraint.value
 
-        def counting(spec, prof, assignment):
-            calls.append(assignment)
-            return _coset_prefix(spec, prof, assignment)
+        def counting(self, u):
+            calls.append(self.target)
+            return value(self, u)
 
-        monkeypatch.setattr("polarwd.engine._coset_prefix", counting)
+        monkeypatch.setattr(FreezeConstraint, "value", counting)
         stats = EngineStats()
         assert wef_direct(hamming16_spec, stats=stats) == HAMMING16_WEF
-        assert calls == [0, 1, 2, 4, 8]
+        s = profile(hamming16_spec).s
+        assert calls == [i for i in hamming16_spec.frozen if i <= s]
+        assert len(calls) == 5
         assert stats.cosets_evaluated == 16
+
+    def test_prefix_set_matches_reference_prefixes(self):
+        # the one-pass set holds exactly the reference prefixes of all
+        # red-bit assignments, on dynamic specs whose constraints carry
+        # constants
+        rng = random.Random(12)
+        for _ in range(20):
+            unfrozen = set(rng.sample(range(16), rng.randrange(3, 10)))
+            statuses = [
+                None if i in unfrozen else FreezeConstraint(
+                    i, frozenset(j for j in range(i) if rng.random() < 0.3), rng.randrange(2)
+                )
+                for i in range(16)
+            ]
+            spec = CodeSpec(4, tuple(statuses))
+            prof = profile(spec)
+            ((offset, basis, multiplier),) = _direct_sets(spec, prof)
+            span = {offset}
+            for vector in basis:
+                span |= {p ^ vector for p in span}
+            assert multiplier == 1 and len(span) == 1 << prof.gamma
+            assert span == {_coset_prefix(spec, prof, a) for a in range(1 << prof.gamma)}
 
     def test_evaluated_cosets_checked_against_prediction(self, hamming16_spec, monkeypatch):
         # a sum that misses its cosets breaks the count read off it
