@@ -63,8 +63,11 @@ def _load_spec(path: str) -> CodeSpec:
 def _emit(payload: dict, out: Optional[str]) -> None:
     text = json.dumps(payload, indent=2) + "\n"
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise CliError("out_unwritable", f"cannot write output file: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -140,6 +143,8 @@ def _cmd_max_mixing_factor(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    if args.m > MAX_JSON_M:
+        raise CliError("bad_m", f"m={args.m} exceeds the limit of {MAX_JSON_M}")
     try:
         f = Monomial.parse(args.f, args.m)
         g = Monomial.parse(args.g, args.m)

@@ -15,6 +15,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from .coset import _rref
 from .monomials import Monomial, is_decreasing
 from .transform import MATRIX_GUARD_M, generator_matrix
 
@@ -212,56 +213,34 @@ def from_generator_matrix(gen: Sequence[Sequence[int]]) -> CodeSpec:
     """Represent the row space of a full-rank k x n matrix as a dynamic spec.
 
     The information-domain generators are the rows of G times the transform
-    (an involution, so codeword c maps back to u = c G_n).  Reduced so each
-    row has a distinct lowest set index, the pivots become the unfrozen
-    positions and every other column reads off a causal affine constraint.
-    Entries must be 0 or 1 (bools included).
+    (an involution, so codeword c maps back to u = c G_n).  Each row is read
+    as an int whose bit n-1-i is column i, so the reduced row echelon basis
+    has each row's lowest set column as its pivot, clear in every other row:
+    the pivots become the unfrozen positions and every other column reads
+    off a causal affine constraint.  Entries must be the integers 0 or 1
+    (bools included).
     """
 
     g = np.array(gen)
     if g.ndim != 2:
         raise ValueError("generator matrix must be two-dimensional")
-    if not np.isin(g, (0, 1)).all():
-        raise ValueError("generator matrix entries must be 0 or 1")
-    g = g.astype(np.uint8)
+    if g.dtype.kind not in "biu" or not np.isin(g, (0, 1)).all():
+        raise ValueError("generator matrix entries must be the integers 0 or 1")
     k, n = g.shape
     if n < 1 or n & (n - 1):
         raise ValueError(f"block length {n} is not a power of two")
     m = n.bit_length() - 1
-    gn = generator_matrix(m)
-    u_rows = (g @ gn) % 2
-    rows = [int("".join(map(str, row[::-1])), 2) if row.any() else 0 for row in u_rows]
-
-    pivots: list[int] = []
-    reduced: list[int] = []
-    for col in range(n):
-        pivot_row = None
-        for idx, row in enumerate(rows):
-            if row >> col & 1:
-                pivot_row = idx
-                break
-        if pivot_row is None:
-            continue
-        piv = rows.pop(pivot_row)
-        reduced = [r ^ piv if r >> col & 1 else r for r in reduced]
-        rows = [r ^ piv if r >> col & 1 else r for r in rows]
-        reduced.append(piv)
-        pivots.append(col)
-    if rows and any(rows):
-        raise AssertionError("leftover nonzero rows after full column sweep")
-    if len(pivots) < k:
-        raise ValueError(f"generator matrix has rank {len(pivots)}, expected {k}")
-
-    pivot_set = set(pivots)
-    statuses: list[Optional[FreezeConstraint]] = []
-    for i in range(n):
-        if i in pivot_set:
-            statuses.append(None)
-        else:
-            support = frozenset(
-                pivots[t] for t, row in enumerate(reduced) if row >> i & 1
-            )
-            statuses.append(FreezeConstraint(i, support, 0))
+    u_rows = (g.astype(np.uint8) @ generator_matrix(m)) % 2
+    rows = _rref(int("".join(map(str, row)), 2) for row in u_rows)
+    if len(rows) < k:
+        raise ValueError(f"generator matrix has rank {len(rows)}, expected {k}")
+    pivots = {n - r.bit_length(): r for r in rows}
+    statuses: list[Optional[FreezeConstraint]] = [
+        None
+        if i in pivots
+        else FreezeConstraint(i, frozenset(p for p, r in pivots.items() if r >> n - 1 - i & 1))
+        for i in range(n)
+    ]
     return CodeSpec(m, tuple(statuses), label=f"generator({n},{k})")
 
 
@@ -322,7 +301,7 @@ def spec_from_json(obj: dict) -> CodeSpec:
 
     Integer fields are read with ``operator.index``: a float or a string
     where an integer belongs raises TypeError instead of being truncated
-    (bools count as integers).
+    (bools count as integers), and so does a string erasure.
     """
 
     if not isinstance(obj, dict):
@@ -331,12 +310,16 @@ def spec_from_json(obj: dict) -> CodeSpec:
     if construction == "rm":
         return from_rm(operator.index(obj["r"]), _json_m(obj))
     if construction == "bec":
+        if isinstance(obj["erasure"], str):
+            raise TypeError(f"erasure must be a number, got {obj['erasure']!r}")
         return from_bhattacharyya_bec(_json_m(obj), operator.index(obj["k"]), float(obj["erasure"]))
     if construction == "pac":
         # a PAC spec's supports are dense: memory grows 4x per step of m, so
         # it has the generator matrix's bound
         return pac_spec(
-            _json_m(obj, MATRIX_GUARD_M), [operator.index(i) for i in obj["profile"]], obj["taps"]
+            _json_m(obj, MATRIX_GUARD_M),
+            [operator.index(i) for i in obj["profile"]],
+            [operator.index(t) for t in obj["taps"]],
         )
     if construction == "generator":
         return from_generator_matrix(obj["matrix"])

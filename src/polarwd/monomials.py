@@ -121,32 +121,30 @@ def evaluate(f: Monomial, m: Optional[int] = None) -> list[int]:
     return [1 if (p & pmask) == 0 else 0 for p in range(1 << m)]
 
 
-def compare(f: Monomial, g: Monomial) -> Order:
-    """Decide the partial order between two monomials in O(degree) time.
+def _suffix_counts(mask: int, width: int) -> list[int]:
+    """For each threshold x < width, the number of variables x_j with j >= x:
+    f precedes g iff f's count is at most g's at every threshold."""
 
-    Equal degrees compare variable-by-variable; for unequal degrees the smaller
-    monomial must fit under the top-aligned divisor of the larger one (taking
-    the largest variables of the larger monomial is always the best choice).
+    return [(mask >> x).bit_count() for x in range(width)]
+
+
+def compare(f: Monomial, g: Monomial) -> Order:
+    """Decide the partial order between two monomials by the suffix-count rule.
+
+    Only thresholds below the highest variable of either monomial can differ;
+    if g's count is at least f's at each of them f precedes g, if at most g
+    precedes f.  The counts of distinct monomials differ at some threshold.
     """
 
     if f.m != g.m:
         raise ValueError("monomials live in different ambient rings")
     if f.mask == g.mask:
         return Order.EQUAL
-    fv, gv = f.vars, g.vars
-    if len(fv) == len(gv):
-        if all(a <= b for a, b in zip(fv, gv)):
-            return Order.F_PRECEDES_G
-        if all(b <= a for a, b in zip(fv, gv)):
-            return Order.G_PRECEDES_F
-        return Order.INCOMPARABLE
-    if len(fv) < len(gv):
-        shift = len(gv) - len(fv)
-        if all(fv[k] <= gv[k + shift] for k in range(len(fv))):
-            return Order.F_PRECEDES_G
-        return Order.INCOMPARABLE
-    shift = len(fv) - len(gv)
-    if all(gv[k] <= fv[k + shift] for k in range(len(gv))):
+    width = (f.mask | g.mask).bit_length()
+    diffs = [b - a for a, b in zip(_suffix_counts(f.mask, width), _suffix_counts(g.mask, width))]
+    if min(diffs) >= 0:
+        return Order.F_PRECEDES_G
+    if max(diffs) <= 0:
         return Order.G_PRECEDES_F
     return Order.INCOMPARABLE
 
@@ -165,17 +163,7 @@ def single_shift_le(f: Monomial, g: Monomial) -> bool:
 
     if f.m != g.m:
         raise ValueError("monomials live in different ambient rings")
-    if f.mask == g.mask:
-        return False
-    diff = f.mask ^ g.mask
-    if f.degree + 1 == g.degree:
-        # pure deletion: f must be g minus one variable
-        return (f.mask & g.mask) == f.mask and diff.bit_count() == 1
-    if f.degree == g.degree and diff.bit_count() == 2:
-        j = (diff & f.mask).bit_length() - 1
-        k = (diff & g.mask).bit_length() - 1
-        return (diff & f.mask).bit_count() == 1 and j < k
-    return False
+    return f.mask in _predecessor_masks(g.mask)
 
 
 def chain_decompose(f: Monomial, g: Monomial) -> Optional[list[Monomial]]:
@@ -251,18 +239,12 @@ def is_decreasing(
 def _incomparable_above_counts(m: int) -> list[int]:
     """For each row index t, count rows above t incomparable with t.
 
-    Uses the suffix-count encoding of the order: f precedes g iff for every
-    threshold x the number of f-variables >= x is at most g's count.  That
-    turns each comparison into a componentwise vector domination, done here
-    with one vectorized pass per candidate tau.
+    Each row's ``_suffix_counts`` turn every comparison into a componentwise
+    vector domination, done here with one vectorized pass per candidate tau.
     """
 
     n = 1 << m
-    counts_matrix = np.zeros((n, m), dtype=np.int16)
-    for i in range(n):
-        mono = Monomial.from_row_index(i, m)
-        for x in mono.vars:
-            counts_matrix[i, : x + 1] += 1
+    counts_matrix = np.array([_suffix_counts((n - 1) ^ i, m) for i in range(n)], dtype=np.int16)
     out = [0] * n
     for t in range(1, n):
         above = counts_matrix[:t]

@@ -179,6 +179,10 @@ class TestErrors:
             '{"m": 2, "unfrozen": [3.0], "constraints": []}',
             '{"construction": "bec", "m": 3, "k": 4.5, "erasure": 0.5}',
             '{"construction": "pac", "m": 2, "profile": [3.0], "taps": [1]}',
+            # integral floats and strings where an integer or a number belongs
+            '{"construction": "bec", "m": 3, "k": 4, "erasure": "0.5"}',
+            '{"construction": "pac", "m": 2, "profile": [3], "taps": [1.0, 0.0, 1.0]}',
+            '{"construction": "generator", "matrix": [[1.0, 1.0]]}',
         ],
     )
     def test_out_of_range_values_rejected(self, capsys, tmp_path, text):
@@ -186,6 +190,12 @@ class TestErrors:
         path.write_text(text)
         code, out, err = invoke(capsys, "wef", "--spec", str(path))
         assert (code, out) == (1, "") and "ERROR[spec_invalid]" in err
+
+    def test_unwritable_out_path(self, capsys, hamming16_file, tmp_path):
+        out = str(tmp_path / "missing" / "wef.json")
+        code, stdout, err = invoke(capsys, "wef", "--spec", hamming16_file, "--out", out)
+        assert (code, stdout) == (1, "") and err.startswith("ERROR[out_unwritable]")
+        assert "Traceback" not in err
 
     def test_huge_m_rejected_promptly(self, tmp_path):
         proc = _wef_with_capped_memory(tmp_path, {"m": 40, "frozen": []})
@@ -326,6 +336,15 @@ class TestOtherCommands:
             0,
             "f_precedes_g\n",
         )
+
+    def test_compare_m_bounded(self, capsys):
+        # --m has the bound of max-mixing-factor's --m and of a spec's m
+        assert invoke(capsys, "compare", "--f", "x0", "--g", "x1", "--m", "16")[:2] == (
+            0,
+            "f_precedes_g\n",
+        )
+        code, out, err = invoke(capsys, "compare", "--f", "x0", "--g", "x1", "--m", "17")
+        assert (code, out) == (1, "") and "ERROR[bad_m]" in err
 
     def test_compare_bad_monomial(self, capsys):
         code, _, err = invoke(capsys, "compare", "--f", "x9", "--g", "x1", "--m", "4")

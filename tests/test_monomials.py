@@ -26,6 +26,28 @@ def monomials(m: int):
     )
 
 
+def below_by_divisors(f, g):
+    """Reference order: f <= g iff some divisor of g with f's degree dominates
+    f variable by variable, both sorted."""
+
+    return any(
+        all(a <= b for a, b in zip(f.vars, sub))
+        for sub in itertools.combinations(g.vars, f.degree)
+    )
+
+
+def predecessors(g):
+    """Reference single shifts below g = h*x_k, for each variable k
+    ascending: f = h, then f = h*x_j for each absent j < k ascending."""
+
+    for k in g.vars:
+        rest = [v for v in g.vars if v != k]
+        yield Monomial.from_vars(rest, g.m)
+        for j in range(k):
+            if j not in g.vars:
+                yield Monomial.from_vars(rest + [j], g.m)
+
+
 class TestParseAndFormat:
     def test_constant(self):
         assert Monomial.parse("1", 4).mask == 0
@@ -73,16 +95,23 @@ class TestCompare:
             compare(Monomial.one(3), Monomial.one(4))
 
     def test_matches_divisor_definition_exhaustively(self):
-        # reference: f <= g iff some divisor of g with f's degree dominates f
         m = 4
         for fm, gm in itertools.product(range(1 << m), repeat=2):
             f, g = Monomial(fm, m), Monomial(gm, m)
-            fv = f.vars
-            expected = any(
-                all(a <= b for a, b in zip(fv, sub))
-                for sub in itertools.combinations(g.vars, f.degree)
-            )
-            assert precedes(f, g) == expected, (f, g)
+            assert precedes(f, g) == below_by_divisors(f, g), (f, g)
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 3, 4])
+    def test_all_four_outcomes_match_divisor_definition(self, m):
+        outcome = {
+            (True, True): Order.EQUAL,
+            (True, False): Order.F_PRECEDES_G,
+            (False, True): Order.G_PRECEDES_F,
+            (False, False): Order.INCOMPARABLE,
+        }
+        for fm, gm in itertools.product(range(1 << m), repeat=2):
+            f, g = Monomial(fm, m), Monomial(gm, m)
+            expected = outcome[below_by_divisors(f, g), below_by_divisors(g, f)]
+            assert compare(f, g) == expected, (f, g)
 
 
 class TestSingleShift:
@@ -186,17 +215,6 @@ class TestIsDecreasing:
         members = [Monomial(mask, m) for mask in masks]
         everything = [Monomial(x, m) for x in range(1 << m)]
         closed = all(h in members for g in members for h in everything if precedes(h, g))
-
-        def predecessors(g):
-            # each variable k ascending: k deleted, then k lowered to each
-            # absent j < k ascending
-            for k in g.vars:
-                rest = [v for v in g.vars if v != k]
-                yield Monomial.from_vars(rest, m)
-                for j in range(k):
-                    if j not in g.vars:
-                        yield Monomial.from_vars(rest + [j], m)
-
         first = next(
             ((f, g) for g in members for f in predecessors(g) if f not in members), None
         )
@@ -228,11 +246,11 @@ class TestOrderProperties:
         m = 4
         for gm in range(1 << m):
             g = Monomial(gm, m)
-            preds = {p.mask for p in immediate_predecessors(g)}
-            expected = {
-                fm for fm in range(1 << m) if single_shift_le(Monomial(fm, m), g)
-            }
-            assert preds == expected
+            expected = list(predecessors(g))
+            assert immediate_predecessors(g) == expected
+            for fm in range(1 << m):
+                f = Monomial(fm, m)
+                assert single_shift_le(f, g) == (f in expected), (f, g)
 
 
 class TestMixingFactorExtremals:

@@ -1,10 +1,15 @@
 """The command-line scripts under ``scripts/``, each run as its own process."""
 
+import json
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from polarwd import max_mixing_factor, max_mixing_factor_rate_half
+
+from conftest import POLAR128_WD
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -24,6 +29,16 @@ def test_128_64_dry_run_prints_coset_counts():
     # 2^37 cosets on the direct route, 60,752,896 on the reduced one
     assert "direct: 137438953472 cosets" in proc.stderr
     assert "reduced: 60752896 cosets" in proc.stderr
+
+
+@pytest.mark.full128
+def test_128_64_full_run_writes_the_distribution(tmp_path):
+    out = tmp_path / "wd.json"
+    proc = run_script("run_128_64_distribution.py", "--out", str(out))
+    assert (proc.returncode, proc.stdout) == (0, ""), proc.stderr
+    payload = json.loads(out.read_text())
+    assert payload["cosets_evaluated"] == "60752896"
+    assert {w: int(c) for w, c in payload["wef"]} == POLAR128_WD
 
 
 def test_mixing_factor_tables():
