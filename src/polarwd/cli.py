@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from dataclasses import asdict
 from typing import Optional
@@ -58,6 +59,23 @@ def _load_spec(path: str) -> CodeSpec:
         return spec_from_json(obj)
     except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise CliError("spec_invalid", f"invalid spec: {exc}") from exc
+
+
+def _check_out(out: Optional[str]) -> None:
+    """Refuse an ``--out`` path that cannot be written before any work
+    starts, so a long run's result is not lost; a file the check creates
+    is removed again."""
+
+    if not out:
+        return
+    existed = os.path.lexists(out)
+    try:
+        with open(out, "a"):
+            pass
+    except OSError as exc:
+        raise CliError("out_unwritable", f"cannot write output file: {exc}") from exc
+    if not existed:
+        os.remove(out)
 
 
 def _emit(payload: dict, out: Optional[str]) -> None:
@@ -255,6 +273,7 @@ def run(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
+        _check_out(getattr(args, "out", None))
         return args.func(args)
     except CliError as exc:
         print(f"ERROR[{exc.code}] {exc}", file=sys.stderr)

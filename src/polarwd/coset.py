@@ -46,9 +46,9 @@ and a dict from reduced offset to the handle of that set's sum; the base
 nodes at n = 1 keep their sums in the same table.  A one-block node is
 keyed (n, length, basis), a group of more blocks (n, length, basis,
 blocks).  A step cuts one offset into its children's offsets (a natural cut
-takes 16 prefix bits at a time through two 64 KiB tables), reduces them,
-then walks its boxes against the children's dicts, each lookup keyed by one
-int.
+takes 16 prefix bits at a time through two 64 KiB tables, a cut whose sides
+are one run of blocks each one shift and mask per side), reduces them, then
+walks its boxes against the children's dicts, each lookup keyed by one int.
 
 The sums take few distinct values: the automorphisms that let one coset
 stand for a whole orbit act at every level too, so many sets share one
@@ -58,9 +58,13 @@ and hands out a small-int id for it.  A step walks its boxes, counts each
 distinct (left id, right id) pair, and adds count x product once per pair.
 The whole pair count of a step (its "mix") is memoised to the id of its
 sum, so a step that repeats an earlier mix does no arithmetic at all, and a
-new mix multiplies each of its distinct pairs once.  A value that finds the
-value table full stands for itself instead of an id, so results stay exact
-whatever the caps.
+new mix multiplies each of its distinct pairs once.  A step whose boxes
+form one block of at most 2^_LOW (no ``high`` generators; nearly every step
+of a PAC(64) code) is memoised before it counts anything: its child
+handles in box order, (x0, y0, x1, y1, ...), fix the multiset of its pairs
+and so its sum on any node, and a repeat (93 % of them) returns at once.
+A value that finds the value table full stands for itself instead of an id,
+so results stay exact whatever the caps.
 """
 
 from __future__ import annotations
@@ -128,12 +132,9 @@ class _Node:
         if sides is None:
             self.cut, sides = _split, ((0,), (0,))
         else:
-            pick_v, pick_w = (_picker(side, width) for side in sides)
-            if quarter:
-                self.cut = lambda x: (pick_v(y := _quarters(x, quarter)), pick_w(y))
-            else:
-                self.cut = lambda x: (pick_v(x), pick_w(x))
-            pairs = [(pick_v(v), pick_w(v)) for v in vectors]
+            cut = _cutter(sides, width)
+            self.cut = (lambda x: cut(_quarters(x, quarter))) if quarter else cut
+            pairs = [cut(v) for v in vectors]
             plan = _plan(pairs, len(sides[0]) * width, len(sides[1]) * width)
         self.k_v, self.k_w, mixed = plan
         # (da, db) of every box spanned by the first _LOW generators
@@ -158,16 +159,19 @@ class CosetCache:
       counts its entries over all nodes;
     - the value table: each distinct sum polynomial once, ``values[id]``;
     - ``mixes``: a step's distinct (left, right) pairs with their box counts
-      -> handle of the step's sum.
+      -> handle of the step's sum;
+    - ``steps``: a one-block step's child handles in box order, x0, y0, x1,
+      y1, ... -> handle of the step's sum.
 
-    ``max_entries`` caps each of the four tables; the sum table is capped
+    ``max_entries`` caps each of the five tables; the sum table is capped
     as a whole.  Each table stops growing silently at the cap and entries
     are never mutated after insertion.  A node is stored after its children,
     so a stored node only refers to stored nodes; a node made when the node
     table is full serves the one call that made it and stores no sums.  A
     value refused by the full value table goes on as its own handle (an
-    enumerator, compared by value), and a refused mix is recomputed when
-    next needed, so a full table costs speed, never exactness.
+    enumerator, hashed and compared by value, in mixes and step keys alike),
+    and a refused mix or step is recomputed when next needed, so a full
+    table costs speed, never exactness.
     """
 
     def __init__(self, max_entries: int = 1 << 20):
@@ -177,6 +181,7 @@ class CosetCache:
         self.values: list[WeightEnumerator] = []
         self._ids: dict[tuple[int, ...], int] = {}
         self.mixes: dict[frozenset[tuple[tuple[Handle, Handle], int]], Handle] = {}
+        self.steps: dict[tuple[Handle, ...], Handle] = {}
 
     def get(self, node: _Node, offset: int) -> Optional[Handle]:
         return node.sums.get(offset)
@@ -289,21 +294,31 @@ def _free(basis: Sequence[int], length: int, width: int) -> tuple[int, ...]:
     return (*basis, *(1 << i for i in range(length, width)))
 
 
-def _picker(blocks: Sequence[int], width: int) -> Callable[[int], int]:
-    """x -> the tuple of the blocks ``blocks`` of the ``width``-bit block
-    tuple x, in that order; adjacent blocks move as one run of bits."""
+def _cutter(
+    sides: tuple[Sequence[int], Sequence[int]], width: int
+) -> Callable[[int], tuple[int, int]]:
+    """x -> the tuples of the blocks of each side of the ``width``-bit block
+    tuple x, in the sides' order; adjacent blocks move as one run of bits,
+    and a cut whose sides are one run each is a single shift and mask per
+    side."""
 
-    runs: list[list[int]] = []  # [first block, blocks, position]
-    for j, i in enumerate(blocks):
-        if runs and runs[-1][0] + runs[-1][1] == i:
-            runs[-1][1] += 1
-        else:
-            runs.append([i, 1, j])
-    shifts = [(i * width, (1 << c * width) - 1, j * width) for i, c, j in runs]
-    if len(shifts) == 1:
-        (src, mask, _), = shifts
-        return lambda x: x >> src & mask
-    return lambda x: sum((x >> src & mask) << dst for src, mask, dst in shifts)
+    runs = []  # per side: (source shift, mask, destination shift) per run
+    for blocks in sides:
+        side: list[list[int]] = []  # [first block, blocks, position]
+        for j, i in enumerate(blocks):
+            if side and side[-1][0] + side[-1][1] == i:
+                side[-1][1] += 1
+            else:
+                side.append([i, 1, j])
+        runs.append([(i * width, (1 << c * width) - 1, j * width) for i, c, j in side])
+    if all(len(side) == 1 for side in runs):
+        ((src_v, mask_v, _),), ((src_w, mask_w, _),) = runs
+        return lambda x: (x >> src_v & mask_v, x >> src_w & mask_w)
+    run_v, run_w = runs
+    return lambda x: (
+        sum((x >> src & mask) << dst for src, mask, dst in run_v),
+        sum((x >> src & mask) << dst for src, mask, dst in run_w),
+    )
 
 
 def _rref(vectors: Iterable[int]) -> list[int]:
@@ -397,6 +412,8 @@ def _step(node: _Node, offset: int, cache: CosetCache) -> Handle:
     # counted together
     t = 0
     while True:
+        # the block's child handles in box order, x0, y0, x1, y1, ...
+        row: list[Handle] = []
         for da, db in low:
             da ^= a
             db ^= b
@@ -408,7 +425,16 @@ def _step(node: _Node, offset: int, cache: CosetCache) -> Handle:
             if y is None:
                 y = _step(right, db, cache)
                 put(right, db, y)
-            pair = (x, y)
+            row.append(x)
+            row.append(y)
+        if not high:
+            # a one-block step: equal rows have equal sums, on any node
+            key = tuple(row)
+            result = cache.steps.get(key)
+            if result is not None:
+                return result
+        pairs = iter(row)
+        for pair in zip(pairs, pairs):
             counts[pair] = counts.get(pair, 0) + 1
         t += 1
         if t >> len(high):
@@ -430,6 +456,8 @@ def _step(node: _Node, offset: int, cache: CosetCache) -> Handle:
         result = cache.intern(acc)
         if len(cache.mixes) < cache.max_entries:
             cache.mixes[mix] = result
+    if not high and len(cache.steps) < cache.max_entries:
+        cache.steps[key] = result
     return result
 
 

@@ -217,18 +217,41 @@ def immediate_predecessors(g: Monomial) -> list[Monomial]:
     return [Monomial(f, g.m) for f in _predecessor_masks(g.mask)]
 
 
+def _generators_present(mask: int, present: set[int]) -> bool:
+    """Whether every deletion and every adjacent lowering (x_k to x_{k-1},
+    x_{k-1} absent) of ``mask`` is in ``present``."""
+
+    # the variables x_k, k >= 1, with x_{k-1} absent
+    lowerable = mask & ~(mask << 1 | 1)
+    rest = mask
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        if mask ^ bit not in present:
+            return False
+        if bit & lowerable and mask ^ bit ^ bit >> 1 not in present:
+            return False
+    return True
+
+
 def is_decreasing(
     monomials: Iterable[Monomial],
 ) -> tuple[bool, Optional[tuple[Monomial, Monomial]]]:
     """Check downward closure under the partial order.
 
     Only immediate single-shift predecessors are scanned; that suffices because
-    any strict relation decomposes into a chain of single shifts.  On failure
-    returns a witness pair (missing predecessor, offending member).
+    any strict relation decomposes into a chain of single shifts.  Deletions
+    and adjacent lowerings (x_k to x_{k-1}, x_{k-1} absent) already generate
+    the order, so they are checked first and the full scan runs only on a
+    set that fails them.  On failure returns a witness pair (missing
+    predecessor, offending member): the first member, then its first
+    immediate predecessor, that is missing.
     """
 
     members = list(monomials)
     present = {mono.mask for mono in members}
+    if all(_generators_present(g.mask, present) for g in members):
+        return True, None
     for g in members:
         for f in _predecessor_masks(g.mask):
             if f not in present:

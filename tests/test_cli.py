@@ -197,6 +197,38 @@ class TestErrors:
         assert (code, stdout) == (1, "") and err.startswith("ERROR[out_unwritable]")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "command, engine",
+        [
+            ("wef", "wef_auto"),
+            ("cost", "estimate_cost"),
+            ("brute-force", "brute_force_wef"),
+            ("dual", "dual_spec"),
+        ],
+    )
+    def test_unwritable_out_refused_before_work(
+        self, capsys, monkeypatch, hamming16_file, tmp_path, command, engine
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"{engine} ran before --out was checked")
+
+        monkeypatch.setattr(f"polarwd.cli.{engine}", refuse)
+        out = str(tmp_path / "missing" / "out.json")
+        code, stdout, err = invoke(capsys, command, "--spec", hamming16_file, "--out", out)
+        assert (code, stdout) == (1, "") and err.startswith("ERROR[out_unwritable]")
+
+    def test_refused_run_leaves_out_path_as_it_was(self, capsys, hamming16_file, tmp_path):
+        # the check before the work creates no file and truncates none
+        out = tmp_path / "wef.json"
+        argv = ["wef", "--spec", hamming16_file, "--out", str(out)]
+        code, _, err = invoke(capsys, *argv, "--budget", "2")
+        assert code == 2 and "ERROR[budget_exceeded]" in err and not out.exists()
+        out.write_text("old\n")
+        code, _, _ = invoke(capsys, *argv, "--budget", "2")
+        assert code == 2 and out.read_text() == "old\n"
+        code, _, _ = invoke(capsys, *argv)
+        assert code == 0 and json.loads(out.read_text())["k"] == 11
+
     def test_huge_m_rejected_promptly(self, tmp_path):
         proc = _wef_with_capped_memory(tmp_path, {"m": 40, "frozen": []})
         assert proc.returncode == 1 and "ERROR[spec_invalid]" in proc.stderr

@@ -330,7 +330,7 @@ class TestAffineSum:
                 nodes = list(cache.nodes.values())
                 sums = sum(len(node.sums) for node in nodes)
                 assert sums == len(cache)
-                tables = (nodes, cache.values, cache.mixes)
+                tables = (nodes, cache.values, cache.mixes, cache.steps)
                 assert sums <= cap and all(len(table) <= cap for table in tables)
                 # stored nodes refer to stored nodes only, and only they hold sums
                 stored = {id(node) for node in nodes}
@@ -342,6 +342,28 @@ class TestAffineSum:
                 )
                 if cap:
                     assert nodes and cache.values
+
+    def test_step_keys_of_enumerator_handles_stay_exact(self):
+        # a value table that is full before the run hands out every sum as an
+        # enumerator, so each step key holds enumerators, hashed and compared
+        # by value: steps still hit, and the result is still exact
+        class CountedGets(dict):
+            hits = 0
+
+            def get(self, key, default=None):
+                value = super().get(key, default)
+                self.hits += value is not None
+                return value
+
+        for spec in (PAC32, from_bhattacharyya_bec(6, 20, 0.4)):
+            cache = CosetCache(max_entries=1 << 12)
+            cache.values.extend(WeightEnumerator([7] * (i + 1)) for i in range(cache.max_entries))
+            cache.steps = CountedGets()
+            assert wef_direct(spec, cache=cache) == wef_direct(spec)
+            assert len(cache.values) == cache.max_entries
+            handles = [h for key in cache.steps for h in key]
+            assert handles and all(isinstance(h, WeightEnumerator) for h in handles)
+            assert cache.steps.hits > 0
 
     def test_plan_shared_across_block_lengths(self):
         # a plan depends on (length, basis) only, so the node of each block

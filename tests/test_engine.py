@@ -315,6 +315,21 @@ class TestRouteEquivalence:
         assert macwilliams(wef_lta(dual), spec.n, dual.k) == lta
         assert lta.eval_at_one() == 1 << 32
 
+    @pytest.mark.parametrize("k", [24, 40, 64, 107])
+    def test_four_routes_agree_at_n128(self, k):
+        # budget lifted: the direct route of k = 107 covers 2^44 cosets and
+        # still takes a fraction of a second
+        spec = from_bhattacharyya_bec(7, k, 0.5)
+        dual = dual_spec(spec)
+        lifted = 1 << 64
+        lta = wef_lta(spec, budget=lifted)
+        assert wef_direct(spec, budget=lifted) == lta
+        assert macwilliams(wef_lta(dual, budget=lifted), spec.n, dual.k) == lta
+        assert macwilliams(wef_direct(dual, budget=lifted), spec.n, dual.k) == lta
+        assert lta.eval_at_one() == 1 << k
+        # macwilliams raises unless its input is a linear code's enumerator
+        assert macwilliams(lta, spec.n, k).eval_at_one() == 1 << dual.k
+
     def test_random_decreasing_specs(self):
         rng = random.Random(2024)
         from polarwd import Monomial, from_unfrozen_set
