@@ -47,7 +47,6 @@ def main() -> None:
         "n": spec.n,
         "k": spec.k,
         "cosets_evaluated": str(stats.cosets_evaluated),
-        "seconds": round(seconds, 1),
         "wef": wef.to_pairs(),
     }
     text = json.dumps(payload, indent=2)

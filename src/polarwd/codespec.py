@@ -338,10 +338,15 @@ def spec_from_json(obj: dict) -> CodeSpec:
             target = operator.index(c["target"])
             if not 0 <= target < n:
                 raise ValueError(f"constraint target {target} out of range for n={n}")
+            if target in constrained:
+                raise ValueError(f"constraint target {target} listed twice")
+            # the support is an xor, so a repeated index would cancel, not
+            # collapse into one
+            support = [operator.index(j) for j in c.get("support", [])]
+            if len(set(support)) < len(support):
+                raise ValueError(f"constraint on u_{target} repeats a support index")
             statuses[target] = FreezeConstraint(
-                target,
-                frozenset(operator.index(j) for j in c.get("support", [])),
-                operator.index(c.get("constant", 0)),
+                target, frozenset(support), operator.index(c.get("constant", 0))
             )
             constrained.add(target)
         for i in range(n):

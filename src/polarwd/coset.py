@@ -54,17 +54,17 @@ The sums take few distinct values: the automorphisms that let one coset
 stand for a whole orbit act at every level too, so many sets share one
 enumerator (on a PAC(64) code, 33,940 memoised sets have 27 distinct sums).
 So the recursion is hash-consed.  The cache stores each distinct sum once
-and hands out a small-int id for it.  A step walks its boxes, counts each
-distinct (left id, right id) pair, and adds count x product once per pair.
-The whole pair count of a step (its "mix") is memoised to the id of its
-sum, so a step that repeats an earlier mix does no arithmetic at all, and a
-new mix multiplies each of its distinct pairs once.  A step whose boxes
-form one block of at most 2^_LOW (no ``high`` generators; nearly every step
-of a PAC(64) code) is memoised before it counts anything: its child
-handles in box order, (x0, y0, x1, y1, ...), fix the multiset of its pairs
-and so its sum on any node, and a repeat (93 % of them) returns at once.
-A value that finds the value table full stands for itself instead of an id,
-so results stay exact whatever the caps.
+and hands out a small-int id for it.  A step walks its boxes in blocks of
+at most 2^_LOW, and every block follows one rule: its child handles in box
+order, (x0, y0, x1, y1, ...), fix the multiset of its (left, right) pairs
+and so its sum on any node, so that row is looked up first and a repeat
+costs one lookup.  Only a row that misses counts its distinct pairs; the
+count (a "mix") is memoised to the id of its sum, and a new mix multiplies
+each distinct pair once and adds count x product.  A step of one block
+returns that block's sum; a step of more blocks adds its block sums through
+the same memo, keyed by how often each block sum occurs.  A value that
+finds the value table full stands for itself instead of an id, so results
+stay exact whatever the caps.
 """
 
 from __future__ import annotations
@@ -158,10 +158,11 @@ class CosetCache:
       nodes' included, reduced offset -> handle of the set's sum; ``len``
       counts its entries over all nodes;
     - the value table: each distinct sum polynomial once, ``values[id]``;
-    - ``mixes``: a step's distinct (left, right) pairs with their box counts
-      -> handle of the step's sum;
-    - ``steps``: a one-block step's child handles in box order, x0, y0, x1,
-      y1, ... -> handle of the step's sum.
+    - ``steps``: a block's child handles in box order, x0, y0, x1, y1, ...
+      -> handle of the block's sum;
+    - ``mixes``: a block's distinct (left, right) pairs with their box
+      counts, or a step's distinct block handles with their block counts
+      -> handle of the sum.
 
     ``max_entries`` caps each of the five tables; the sum table is capped
     as a whole.  Each table stops growing silently at the cap and entries
@@ -169,8 +170,8 @@ class CosetCache:
     so a stored node only refers to stored nodes; a node made when the node
     table is full serves the one call that made it and stores no sums.  A
     value refused by the full value table goes on as its own handle (an
-    enumerator, hashed and compared by value, in mixes and step keys alike),
-    and a refused mix or step is recomputed when next needed, so a full
+    enumerator, hashed and compared by value, in step and mix keys alike),
+    and a refused row or mix is recomputed when next needed, so a full
     table costs speed, never exactness.
     """
 
@@ -180,7 +181,7 @@ class CosetCache:
         self._sums = 0
         self.values: list[WeightEnumerator] = []
         self._ids: dict[tuple[int, ...], int] = {}
-        self.mixes: dict[frozenset[tuple[tuple[Handle, Handle], int]], Handle] = {}
+        self.mixes: dict[frozenset[tuple[Union[Handle, tuple[Handle, Handle]], int]], Handle] = {}
         self.steps: dict[tuple[Handle, ...], Handle] = {}
 
     def get(self, node: _Node, offset: int) -> Optional[Handle]:
@@ -405,14 +406,11 @@ def _step(node: _Node, offset: int, cache: CosetCache) -> Handle:
         if b ^ r < b:
             b ^= r
     low, high = node.low, node.high
-    get, put = cache.get, cache.put
-    counts: dict[tuple[Handle, Handle], int] = {}
-    # the boxes in blocks of ``low``, each block moved by one ``high``
-    # generator (Gray code); boxes whose two sums are equal values are
-    # counted together
-    t = 0
+    get, put, steps = cache.get, cache.put, cache.steps
+    blocks: list[Handle] = []
+    # the boxes in blocks of ``low``, each block moved from the last by one
+    # ``high`` generator (Gray code)
     while True:
-        # the block's child handles in box order, x0, y0, x1, y1, ...
         row: list[Handle] = []
         for da, db in low:
             da ^= a
@@ -427,37 +425,49 @@ def _step(node: _Node, offset: int, cache: CosetCache) -> Handle:
                 put(right, db, y)
             row.append(x)
             row.append(y)
+        # the block's child handles in box order, x0, y0, x1, y1, ..., fix
+        # the multiset of its pairs and so its sum, on any node
+        key = tuple(row)
+        block = steps.get(key)
+        if block is None:
+            pairs = iter(key)
+            block = _mix(zip(pairs, pairs), cache)
+            if len(steps) < cache.max_entries:
+                steps[key] = block
         if not high:
-            # a one-block step: equal rows have equal sums, on any node
-            key = tuple(row)
-            result = cache.steps.get(key)
-            if result is not None:
-                return result
-        pairs = iter(row)
-        for pair in zip(pairs, pairs):
-            counts[pair] = counts.get(pair, 0) + 1
-        t += 1
+            return block
+        blocks.append(block)
+        t = len(blocks)
         if t >> len(high):
-            break
+            return _mix(blocks, cache)
         da, db = high[(t & -t).bit_length() - 1]
         a ^= da
         b ^= db
-    # steps whose boxes count the same pairs have the same sum
+
+
+def _mix(items: Iterable[Union[Handle, tuple[Handle, Handle]]], cache: CosetCache) -> Handle:
+    """The sum of ``items``, memoised in ``mixes`` by their multiset: an
+    item is a (left, right) pair of handles, which stands for their
+    product, or a block's handle."""
+
+    counts: dict[Union[Handle, tuple[Handle, Handle]], int] = {}
+    for item in items:
+        counts[item] = counts.get(item, 0) + 1
+    # a handle is never a tuple, so a multiset of block handles never equals
+    # one of pairs
     mix = frozenset(counts.items())
     result = cache.mixes.get(mix)
     if result is None:
-        # one product per distinct pair, times the boxes that have it
-        acc = None
-        for (x, y), count in counts.items():
-            term = cache.value(x) * cache.value(y)
+        # one term per distinct item, times the boxes or blocks that have it
+        value, acc = cache.value, None
+        for item, count in counts.items():
+            term = value(item[0]) * value(item[1]) if type(item) is tuple else value(item)
             if count > 1:
                 term = term.scale(count)
             acc = term if acc is None else acc + term
         result = cache.intern(acc)
         if len(cache.mixes) < cache.max_entries:
             cache.mixes[mix] = result
-    if not high and len(cache.steps) < cache.max_entries:
-        cache.steps[key] = result
     return result
 
 

@@ -183,6 +183,11 @@ class TestErrors:
             '{"construction": "bec", "m": 3, "k": 4, "erasure": "0.5"}',
             '{"construction": "pac", "m": 2, "profile": [3], "taps": [1.0, 0.0, 1.0]}',
             '{"construction": "generator", "matrix": [[1.0, 1.0]]}',
+            # a constraint target listed twice, and a support that repeats an
+            # index (as an xor, u_3 = u_0 xor u_0 = 0, not u_0)
+            '{"m": 2, "constraints": [{"target": 2, "support": [0]}, {"target": 2}]}',
+            '{"m": 3, "unfrozen": [0, 1, 2, 4, 5, 6, 7], '
+            '"constraints": [{"target": 3, "support": [0, 0]}]}',
         ],
     )
     def test_out_of_range_values_rejected(self, capsys, tmp_path, text):

@@ -1,5 +1,6 @@
 import itertools
 import random
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from polarwd import (
     profile,
     wef_direct,
 )
+from polarwd import coset
 from polarwd.coset import _node, _rref, _split, affine_sum, calc_a
 from polarwd.engine import _orbits
 from polarwd.oracle import brute_force_coset_wef
@@ -182,16 +184,44 @@ def coset_wef(n, length, prefix, cache=None):
     return calc_a(n, bits[:-1], cache)[bits[-1]]
 
 
+def halves_to_prefix(a, b):
+    """The prefix whose (even xor odd, odd) halves are a and b."""
+
+    bits = max(a.bit_length(), b.bit_length())
+    return sum(((a >> j ^ b >> j) & 1) << 2 * j | (b >> j & 1) << 2 * j + 1 for j in range(bits))
+
+
 def quarters_to_prefix(quarters):
     """The prefix whose quarter blocks (a1, a2, b1, b2) are ``quarters``."""
 
-    def join(a, b):
-        # the prefix whose (even xor odd, odd) halves are a and b
-        bits = max(a.bit_length(), b.bit_length())
-        return sum(((a >> j ^ b >> j) & 1) << 2 * j | (b >> j & 1) << 2 * j + 1 for j in range(bits))
-
     a1, a2, b1, b2 = quarters
-    return join(join(a1, a2), join(b1, b2))
+    return halves_to_prefix(halves_to_prefix(a1, a2), halves_to_prefix(b1, b2))
+
+
+def nested_set():
+    """(offset, basis) of a set of 32-bit prefixes at n = 32 whose top step
+    and whose halves' steps all walk several blocks: 5 random vectors in
+    each half alone, 5 that mix the halves."""
+
+    rng = random.Random(1)
+    basis = [halves_to_prefix(rng.getrandbits(16), 0) for _ in range(5)]
+    basis += [halves_to_prefix(0, rng.getrandbits(16)) for _ in range(5)]
+    basis += [rng.getrandbits(32) for _ in range(5)]
+    return rng.getrandbits(32), basis
+
+
+class CountedGets(dict):
+    """A memo table that counts the hits and misses of its lookups."""
+
+    hits = misses = 0
+
+    def get(self, key, default=None):
+        value = super().get(key, default)
+        if value is None:
+            self.misses += 1
+        else:
+            self.hits += 1
+        return value
 
 
 def span(offset, basis):
@@ -317,16 +347,21 @@ class TestAffineSum:
             assert wef_direct(spec, cache=shared) == wef_direct(spec, cache=CosetCache())
 
     def test_tiny_cache_stays_exact_and_bounded(self, hamming16_spec):
-        for spec, expected in [
-            (hamming16_spec, HAMMING16_WEF),
-            (from_bhattacharyya_bec(6, 20, 0.4), wef_direct(from_bhattacharyya_bec(6, 20, 0.4))),
-            (PAC32, brute_force_wef(PAC32)),
+        bec = from_bhattacharyya_bec(6, 20, 0.4)
+        offset, basis = nested_set()
+        for total, expected in [
+            (partial(wef_direct, hamming16_spec), HAMMING16_WEF),
+            (partial(wef_direct, bec), wef_direct(bec)),
+            (partial(wef_direct, PAC32), brute_force_wef(PAC32)),
+            # steps of several blocks at the top and below it, so mixes
+            # keyed by block handles too
+            (partial(affine_sum, 32, 32, offset, basis), affine_sum(32, 32, offset, basis)),
         ]:
             # every table full or not, and values past the cap are carried as
             # enumerators, not ids
             for cap in (0, 1, 2, 4):
                 cache = CosetCache(max_entries=cap)
-                assert wef_direct(spec, cache=cache) == expected
+                assert total(cache=cache) == expected
                 nodes = list(cache.nodes.values())
                 sums = sum(len(node.sums) for node in nodes)
                 assert sums == len(cache)
@@ -347,23 +382,24 @@ class TestAffineSum:
         # a value table that is full before the run hands out every sum as an
         # enumerator, so each step key holds enumerators, hashed and compared
         # by value: steps still hit, and the result is still exact
-        class CountedGets(dict):
-            hits = 0
-
-            def get(self, key, default=None):
-                value = super().get(key, default)
-                self.hits += value is not None
-                return value
-
-        for spec in (PAC32, from_bhattacharyya_bec(6, 20, 0.4)):
+        offset, basis = nested_set()
+        for total in (
+            partial(wef_direct, PAC32),
+            partial(wef_direct, from_bhattacharyya_bec(6, 20, 0.4)),
+            partial(affine_sum, 32, 32, offset, basis),
+        ):
             cache = CosetCache(max_entries=1 << 12)
             cache.values.extend(WeightEnumerator([7] * (i + 1)) for i in range(cache.max_entries))
             cache.steps = CountedGets()
-            assert wef_direct(spec, cache=cache) == wef_direct(spec)
+            assert total(cache=cache) == total()
             assert len(cache.values) == cache.max_entries
             handles = [h for key in cache.steps for h in key]
             assert handles and all(isinstance(h, WeightEnumerator) for h in handles)
             assert cache.steps.hits > 0
+            # mixes keyed by pairs of enumerators, and by blocks' enumerators
+            items = [item for key in cache.mixes for item, _ in key]
+            assert any(type(item) is tuple for item in items)
+            assert any(isinstance(item, WeightEnumerator) for item in items)
 
     def test_plan_shared_across_block_lengths(self):
         # a plan depends on (length, basis) only, so the node of each block
@@ -476,6 +512,38 @@ class TestHashConsing:
             type(handle) is int for node in cache.nodes.values() for handle in node.sums.values()
         )
         assert len(cache.values) < len(cache)
+
+    def test_multi_block_rows_hit_steps(self, monkeypatch):
+        # a set whose top step walks blocks of 16 boxes, summed twice: the
+        # second time every block's row of child handles repeats, so no pair
+        # is counted again; pairs are counted once per row that missed
+        rng = random.Random(5)
+        basis = tuple(_rref(rng.getrandbits(16) for _ in range(6)))
+        offset = rng.getrandbits(16)
+        expected = WeightEnumerator.zero()
+        for p in span(offset, basis):
+            expected = expected + coset_wef(16, 16, p)
+        cache = CosetCache()
+        cache.steps = CountedGets()
+        blocks = 1 << len(_node(16, 16, basis, cache).high)
+        assert blocks > 1
+        pairs = []  # per call of the memo helper, whether it got pairs
+        mix = coset._mix
+
+        def counted(items, memo):
+            items = list(items)
+            pairs.append(type(items[0]) is tuple)
+            return mix(items, memo)
+
+        monkeypatch.setattr(coset, "_mix", counted)
+        assert affine_sum(16, 16, offset, basis, cache) == expected
+        assert pairs.count(True) == cache.steps.misses
+        hits, misses, calls = cache.steps.hits, cache.steps.misses, len(pairs)
+        mixes = len(cache.mixes)
+        assert affine_sum(16, 16, offset, basis, cache) == expected
+        assert (cache.steps.hits - hits, cache.steps.misses - misses) == (blocks, 0)
+        # one call, for the blocks, which hits ``mixes``
+        assert pairs[calls:] == [False] and len(cache.mixes) == mixes
 
     def test_repeated_mix_costs_no_arithmetic(self, monkeypatch):
         # the top-level step of a repeated set counts the same pairs again

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -37,7 +38,10 @@ def test_128_64_full_run_writes_the_distribution(tmp_path):
     proc = run_script("run_128_64_distribution.py", "--out", str(out))
     assert (proc.returncode, proc.stdout) == (0, ""), proc.stderr
     payload = json.loads(out.read_text())
-    assert payload["cosets_evaluated"] == "60752896"
+    # the elapsed time goes to stderr only, so the file is deterministic
+    assert list(payload) == ["n", "k", "cosets_evaluated", "wef"]
+    assert "60752896 cosets in" in proc.stderr
+    assert (payload["n"], payload["k"], payload["cosets_evaluated"]) == (128, 64, "60752896")
     assert {w: int(c) for w, c in payload["wef"]} == POLAR128_WD
 
 
@@ -49,4 +53,49 @@ def test_mixing_factor_tables():
     assert [row.split() for row in rows] == [
         [str(m), str(1 << m), str(max_mixing_factor(m)[0]), str(max_mixing_factor_rate_half(m))]
         for m in range(1, 6)
+    ]
+
+
+def test_code_lines_skip_docstrings_comments_and_blanks(tmp_path):
+    module = tmp_path / "fixture.py"
+    module.write_text(
+        textwrap.dedent(
+            '''\
+            """Module docstring,
+            on two lines."""
+
+            # a comment
+            import os  # a trailing comment
+
+
+            class Box:
+                """Class docstring."""
+
+                size = (
+                    1,
+
+                    2,
+                )
+
+                def area(self):
+                    """Method docstring."""
+                    "a second string statement is code"
+                    return self.size[0] * self.size[1]
+
+
+            async def later():
+                \'\'\'Coroutine docstring.\'\'\'
+                x = """not a docstring:
+            an assignment"""
+                return x
+            '''
+        )
+    )
+    proc = run_script("code_lines.py", str(module))
+    assert proc.returncode == 0, proc.stderr
+    # import, class, size (4 of its 5 lines), def, string, return, async
+    # def, x (2 lines), return
+    assert [line.split() for line in proc.stdout.splitlines()] == [
+        ["13", str(module)],
+        ["13", "total"],
     ]
