@@ -49,11 +49,12 @@ class CliError(Exception):
 
 def _load_spec(path: str) -> CodeSpec:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
     except OSError as exc:
         raise CliError("spec_unreadable", f"cannot read spec file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    # JSON text is UTF-8, and the decoder recurses once per nesting level
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise CliError("spec_malformed_json", f"malformed JSON in {path}: {exc}") from exc
     try:
         return spec_from_json(obj)

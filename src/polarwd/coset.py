@@ -31,13 +31,15 @@ two halves.
 A set whose natural split mixes more than _QUARTER dimensions may instead
 cut into its four quarter blocks (a1, a2, b1, b2), split as one of the
 three 2|2 pairings or four 1|3 peels; groups of two or three blocks split
-by peeling one block.  Each split is priced by its mixed dimensions, from
-the ranks of the set's projections on its two sides, without building a
-plan; a quarter split is taken only when it mixes strictly fewer than the
-natural one.  Small sets never pay for the pricing, and a set that mixes
-alike under every split (the whole direct-route set of the (128,64) code
-mixes 16 dimensions under each) stays natural, while the orbit u30 of that
-code, 24 dimensions natural, sums through a pairing of 8.
+by peeling one block.  One function (``_choose``) decides and builds every
+split other than the natural one: it prices each candidate by its mixed
+dimensions, from the ranks of the set's projections on its two sides, and
+builds the cut and plan of the winner alone.  A quarter split is taken only
+when it mixes strictly fewer than the natural one; the quarters' halves
+pairing mixes exactly as many.  Small sets never pay for the pricing, and
+a set that mixes alike under every split (the whole direct-route set of
+the (128,64) code mixes 16 dimensions under each) stays natural, while the
+orbit u30 of that code, 24 dimensions natural, sums through a pairing of 8.
 
 The split of a set depends on (blocks, n, length, basis) only, not on its
 offset.  So the cache holds one node per such tuple: its split plan (the
@@ -47,8 +49,9 @@ nodes at n = 1 keep their sums in the same table.  A one-block node is
 keyed (n, length, basis), a group of more blocks (n, length, basis,
 blocks).  A step cuts one offset into its children's offsets (a natural cut
 takes 16 prefix bits at a time through two 64 KiB tables, a cut whose sides
-are one run of blocks each one shift and mask per side), reduces them, then
-walks its boxes against the children's dicts, each lookup keyed by one int.
+are one run of blocks each one shift and mask per side, any other cut
+gathers block by block), reduces them, then walks its boxes against the
+children's dicts, each lookup keyed by one int.
 
 The sums take few distinct values: the automorphisms that let one coset
 stand for a whole orbit act at every level too, so many sets share one
@@ -79,6 +82,11 @@ from .wef import WeightEnumerator
 # test handles with ``is None``.
 Handle = Union[int, WeightEnumerator]
 
+# A split's cut, offset -> the offsets of its two children, and its plan:
+# the children's bases K_v and K_w and the mixed generators (da, db).
+Cut = Callable[[int], tuple[int, int]]
+Plan = tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, int], ...]]
+
 
 class _Node:
     """The affine sets offset + span(basis) of a group of ``blocks`` blocks,
@@ -91,7 +99,8 @@ class _Node:
 
     ``cut`` maps an offset to the offsets of the two children, the
     sub-groups a step splits it into: ``_split`` for the natural halves,
-    else a gather of the blocks on each side.  ``k_v`` and ``k_w`` are the
+    else the cut that ``_choose`` built with the plan of its split, after
+    ``_quarters`` for a one-block node.  ``k_v`` and ``k_w`` are the
     children's bases; ``low`` and ``high`` list the mixed generators.
     ``sums`` maps offsets to the handles of their sums; only a node kept in
     the cache's node table (``stored``) ever gets an entry.  A node with
@@ -110,32 +119,27 @@ class _Node:
         self.right: Optional[_Node] = None
         if blocks > 1:
             # a group splits into two sub-groups of its blocks
-            width, vectors, quarter = length, basis, 0
-            sides = _choose(basis, width, blocks)
+            width = length
+            sides, self.cut, plan = _choose(basis, width, blocks)
         elif n > 1:
-            half = (length + 1) // 2
-            plan = _plan([_split(v) for v in _free(basis, length, 2 * half)], half, half)
-            n, width, sides = n // 2, half, None
+            n, width = n // 2, (length + 1) // 2
+            sides, self.cut = ((0,), (0,)), _split
+            plan = _plan([_split(v) for v in _free(basis, length, 2 * width)], width, width)
             if len(plan[2]) > _QUARTER:
-                # mixed > _QUARTER needs half > _QUARTER, so n >= 16: quarter
-                # blocks are never the n = 1 base case
-                quarter = (half + 1) // 2
+                # mixed > _QUARTER needs width > _QUARTER, so n >= 16:
+                # quarter blocks are never the n = 1 base case
+                quarter = (width + 1) // 2
                 vectors = [_quarters(v, quarter) for v in _free(basis, length, 4 * quarter)]
-                sides = _choose(vectors, quarter, 4)
-                if sides == _HALVES:
-                    sides = None
-                else:
+                choice = _choose(vectors, quarter, 4)
+                # the quarters' halves pairing mixes as many dimensions as
+                # the natural split, so only a strictly better one is taken
+                if len(choice[2][2]) < len(plan[2]):
+                    sides, cut, plan = choice
+                    self.cut = lambda x: cut(_quarters(x, quarter))
                     n, width = n // 2, quarter
         else:
             self.free = bool(_free(basis, length, 1))
             return
-        if sides is None:
-            self.cut, sides = _split, ((0,), (0,))
-        else:
-            cut = _cutter(sides, width)
-            self.cut = (lambda x: cut(_quarters(x, quarter))) if quarter else cut
-            pairs = [cut(v) for v in vectors]
-            plan = _plan(pairs, len(sides[0]) * width, len(sides[1]) * width)
         self.k_v, self.k_w, mixed = plan
         # (da, db) of every box spanned by the first _LOW generators
         low = [(0, 0)]
@@ -255,9 +259,6 @@ _LOW = 4
 # better split saves (measured on the code-mix benchmark)
 _QUARTER = 6
 
-# the quarter blocks (a1, a2, b1, b2) paired as the natural halves
-_HALVES = ((0, 1), (2, 3))
-
 _XOR16 = _table16(False)
 _ODD16 = _table16(True)
 
@@ -295,30 +296,18 @@ def _free(basis: Sequence[int], length: int, width: int) -> tuple[int, ...]:
     return (*basis, *(1 << i for i in range(length, width)))
 
 
-def _cutter(
-    sides: tuple[Sequence[int], Sequence[int]], width: int
-) -> Callable[[int], tuple[int, int]]:
+def _cutter(sides: tuple[Sequence[int], Sequence[int]], width: int) -> Cut:
     """x -> the tuples of the blocks of each side of the ``width``-bit block
-    tuple x, in the sides' order; adjacent blocks move as one run of bits,
-    and a cut whose sides are one run each is a single shift and mask per
-    side."""
+    tuple x, in the sides' order: a single shift and mask per side when
+    each side is one run of adjacent blocks, else a gather block by block."""
 
-    runs = []  # per side: (source shift, mask, destination shift) per run
-    for blocks in sides:
-        side: list[list[int]] = []  # [first block, blocks, position]
-        for j, i in enumerate(blocks):
-            if side and side[-1][0] + side[-1][1] == i:
-                side[-1][1] += 1
-            else:
-                side.append([i, 1, j])
-        runs.append([(i * width, (1 << c * width) - 1, j * width) for i, c, j in side])
-    if all(len(side) == 1 for side in runs):
-        ((src_v, mask_v, _),), ((src_w, mask_w, _),) = runs
+    src_v, src_w = (side[0] * width for side in sides)
+    mask_v, mask_w = ((1 << len(side) * width) - 1 for side in sides)
+    if all(side[-1] - side[0] == len(side) - 1 for side in sides):
         return lambda x: (x >> src_v & mask_v, x >> src_w & mask_w)
-    run_v, run_w = runs
-    return lambda x: (
-        sum((x >> src & mask) << dst for src, mask, dst in run_v),
-        sum((x >> src & mask) << dst for src, mask, dst in run_w),
+    one = (1 << width) - 1
+    return lambda x: tuple(
+        sum((x >> i * width & one) << j * width for j, i in enumerate(side)) for side in sides
     )
 
 
@@ -340,9 +329,7 @@ def _rref(vectors: Iterable[int]) -> list[int]:
     return sorted(rows.values(), reverse=True)
 
 
-def _plan(
-    pairs: Sequence[tuple[int, int]], width_v: int, width_w: int
-) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, int], ...]]:
+def _plan(pairs: Sequence[tuple[int, int]], width_v: int, width_w: int) -> Plan:
     """Split of the sets spanned by (v, w) ``pairs`` of ``width_v``- and
     ``width_w``-bit sides into side kernels and mixed generators:
     (K_v, K_w, mixed)."""
@@ -363,10 +350,11 @@ def _plan(
 
 def _choose(
     vectors: Sequence[int], width: int, count: int
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
+) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], Cut, Plan]:
     """The split (S, T) of a group of ``count`` blocks that mixes the fewest
-    dimensions, rank(proj_S) + rank(proj_T) - dim; ``vectors`` span the
-    set as tuples of ``width``-bit blocks."""
+    dimensions, with its cut and plan; ``vectors`` span the set as tuples
+    of ``width``-bit blocks.  Each split is priced by rank(proj_S) +
+    rank(proj_T) - dim, and only the winner's plan is built."""
 
     one = (1 << width) - 1
 
@@ -381,10 +369,14 @@ def _choose(
         for side in combinations(blocks, size)
         if side[0] == 0
     ]
-    # ties go to the natural halves, then to 2|2 pairings before 1|3 peels
-    # (about 5 % faster on pac64-direct than peels first)
-    splits.sort(key=lambda split: (split != _HALVES, abs(len(split[0]) - len(split[1]))))
-    return min(splits, key=lambda split: rank(split[0]) + rank(split[1]))
+    # ties go to 2|2 pairings before 1|3 peels (about 5 % faster on
+    # pac64-direct than peels first), and among the pairings to the halves
+    # (0, 1) | (2, 3), which combinations lists first
+    splits.sort(key=lambda split: abs(len(split[0]) - len(split[1])))
+    sides = min(splits, key=lambda split: rank(split[0]) + rank(split[1]))
+    cut = _cutter(sides, width)
+    plan = _plan([cut(v) for v in vectors], len(sides[0]) * width, len(sides[1]) * width)
+    return sides, cut, plan
 
 
 def _step(node: _Node, offset: int, cache: CosetCache) -> Handle:

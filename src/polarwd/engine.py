@@ -149,7 +149,7 @@ def _sum_sets(
     the budget check and with no coset counted.  Otherwise the cosets of
     each set are counted off its sum (a coset with an (s+1)-bit prefix
     holds 2^{n-1-s} words); raises AssertionError if their total differs
-    from ``predicted``.
+    from ``predicted``, or if the scaled sum does not count 2^k codewords.
     """
 
     if prof.s is None:
@@ -173,6 +173,11 @@ def _sum_sets(
         stats.cosets_evaluated += evaluated
     if evaluated != predicted:
         raise AssertionError(f"{route} route evaluated {evaluated} cosets, predicted {predicted}")
+    # the coset count is read before scaling, so it misses a wrong
+    # multiplier; the code's k information bits are its red and tail bits
+    k = prof.gamma + tail_bits
+    if acc.eval_at_one() != 1 << k:
+        raise AssertionError(f"{route} route sums to {acc.eval_at_one()}, expected 2^{k}")
     return acc
 
 

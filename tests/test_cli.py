@@ -138,9 +138,20 @@ class TestErrors:
         code, _, err = invoke(capsys, "wef", "--spec", "/nonexistent.json")
         assert code == 1 and "ERROR[spec_unreadable]" in err
 
-    def test_malformed_json(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"{not json",
+            # not UTF-8
+            b'\xff\xfe{"m": 3}',
+            # nested deeper than the decoder's recursion limit
+            b"[" * 200_000,
+        ],
+        ids=["syntax", "not-utf8", "deep"],
+    )
+    def test_malformed_json(self, capsys, tmp_path, data):
         path = tmp_path / "bad.json"
-        path.write_text("{not json")
+        path.write_bytes(data)
         code, _, err = invoke(capsys, "cost", "--spec", str(path))
         assert code == 1 and "ERROR[spec_malformed_json]" in err
 

@@ -18,7 +18,17 @@ from polarwd import (
     wef_direct,
 )
 from polarwd import coset
-from polarwd.coset import _node, _rref, _split, affine_sum, calc_a
+from polarwd.coset import (
+    _choose,
+    _cutter,
+    _node,
+    _plan,
+    _quarters,
+    _rref,
+    _split,
+    affine_sum,
+    calc_a,
+)
 from polarwd.engine import _orbits
 from polarwd.oracle import brute_force_coset_wef
 
@@ -229,6 +239,97 @@ def span(offset, basis):
     for v in basis:
         points |= {p ^ v for p in points}
     return points
+
+
+# every split (S, T) of a group of 2, 3 or 4 blocks with block 0 in S, in the
+# order that ``_choose`` breaks ties in: the halves, the other pairings, the
+# peels
+TIE_ORDER = {
+    2: [((0,), (1,))],
+    3: [((0,), (1, 2)), ((0, 1), (2,)), ((0, 2), (1,))],
+    4: [
+        ((0, 1), (2, 3)),
+        ((0, 2), (1, 3)),
+        ((0, 3), (1, 2)),
+        ((0,), (1, 2, 3)),
+        ((0, 1, 2), (3,)),
+        ((0, 1, 3), (2,)),
+        ((0, 2, 3), (1,)),
+    ],
+}
+
+
+def random_block_sets(count):
+    """Seeded (vectors, width) pairs spanning sets of ``count``-block tuples;
+    every other set couples only some of its blocks per vector, so that its
+    splits price apart."""
+
+    rng = random.Random(count)
+    for trial in range(40):
+        width = rng.randrange(1, 5)
+        dim = rng.randrange(count * width + 1)
+        if trial % 2:
+            vectors = [
+                sum(
+                    rng.getrandbits(width) << i * width
+                    for i in rng.sample(range(count), rng.randrange(1, count + 1))
+                )
+                for _ in range(dim)
+            ]
+        else:
+            vectors = [rng.getrandbits(count * width) for _ in range(dim)]
+        yield vectors, width
+
+
+def mixed_dims(vectors, width, split):
+    """rank(proj_S) + rank(proj_T) - dim of the set spanned by ``vectors``."""
+
+    one = (1 << width) - 1
+    ranks = [len(_rref(v & sum(one << i * width for i in side) for v in vectors)) for side in split]
+    return sum(ranks) - len(_rref(vectors))
+
+
+def split_plan(vectors, width, split, cut):
+    return _plan([cut(v) for v in vectors], len(split[0]) * width, len(split[1]) * width)
+
+
+class TestChoose:
+    @pytest.mark.parametrize("count", [2, 3, 4])
+    def test_rank_price_counts_the_plans_mixed_generators(self, count):
+        for vectors, width in random_block_sets(count):
+            for split in TIE_ORDER[count]:
+                cut = _cutter(split, width)
+                one = (1 << width) - 1
+                for v in vectors:
+                    # each side gathers its blocks, in the side's order
+                    assert cut(v) == tuple(
+                        sum((v >> i * width & one) << j * width for j, i in enumerate(side))
+                        for side in split
+                    )
+                plan = split_plan(vectors, width, split, cut)
+                assert mixed_dims(vectors, width, split) == len(plan[2])
+
+    @pytest.mark.parametrize("count", [2, 3, 4])
+    def test_first_minimum_in_tie_order(self, count):
+        ties = 0
+        for vectors, width in random_block_sets(count):
+            prices = [mixed_dims(vectors, width, split) for split in TIE_ORDER[count]]
+            sides, cut, plan = _choose(vectors, width, count)
+            assert sides == TIE_ORDER[count][prices.index(min(prices))]
+            assert plan == split_plan(vectors, width, sides, cut)
+            ties += prices.count(min(prices)) > 1
+        assert ties or count == 2
+
+    def test_quarter_tie_keeps_natural_split(self):
+        # vector i is unit vector i in each of the four 8-bit quarter blocks:
+        # every split of the quarters mixes all 8 dimensions, as many as the
+        # natural split, which is kept
+        basis = tuple(_rref(quarters_to_prefix([1 << i] * 4) for i in range(8)))
+        sides, _, plan = _choose([_quarters(v, 8) for v in basis], 8, 4)
+        assert sides == TIE_ORDER[4][0] and len(plan[2]) == 8
+        node = _node(32, 32, basis, CosetCache())
+        assert node.cut is _split
+        assert len(node.low) << len(node.high) == 1 << 8
 
 
 class TestAffineSum:

@@ -18,6 +18,7 @@ from polarwd import (
 )
 from polarwd.codespec import CodeSpec, FreezeConstraint, from_frozen_set, profile
 from polarwd.monomials import Monomial, single_shift_le
+from polarwd import engine
 from polarwd.coset import calc_a
 from polarwd.engine import (
     BudgetExceeded,
@@ -183,6 +184,20 @@ class TestLta:
             "polarwd.engine.affine_sum", lambda *_: WeightEnumerator.zero()
         )
         with pytest.raises(AssertionError, match="predicted 5"):
+            wef_lta(hamming16_spec)
+
+    def test_scaled_total_checked(self, hamming16_spec, monkeypatch):
+        # a doubled orbit multiplier leaves the coset count (read before
+        # scaling) intact but not the 2^k total
+        route = engine._lta_route
+
+        def doubled(spec, prof):
+            count, sets = route(spec, prof)
+            (offset, basis, multiplier), *rest = sets
+            return count, [(offset, basis, 2 * multiplier), *rest]
+
+        monkeypatch.setattr(engine, "_lta_route", doubled)
+        with pytest.raises(AssertionError, match="expected 2\\^11"):
             wef_lta(hamming16_spec)
 
     def test_non_decreasing_rejected(self):
