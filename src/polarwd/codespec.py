@@ -63,9 +63,9 @@ class Profile:
 class CodeSpec:
     """An immutable length-2^m code: per-index freeze status plus a label.
 
-    Whether the spec is plain, whether its unfrozen set is decreasing, and
-    its dual are worked out once per instance: route selection and the
-    routes themselves all ask.
+    Its frozen and unfrozen indices, its profile, whether it is plain,
+    whether its unfrozen set is decreasing, and its dual are worked out
+    once per instance: route selection and the routes themselves all ask.
     """
 
     m: int
@@ -86,17 +86,26 @@ class CodeSpec:
     def n(self) -> int:
         return 1 << self.m
 
-    @property
+    @cached_property
     def k(self) -> int:
-        return sum(1 for st in self.statuses if st is None)
+        return len(self.unfrozen)
 
-    @property
+    @cached_property
     def unfrozen(self) -> tuple[int, ...]:
         return tuple(i for i, st in enumerate(self.statuses) if st is None)
 
-    @property
+    @cached_property
     def frozen(self) -> tuple[int, ...]:
         return tuple(i for i, st in enumerate(self.statuses) if st is not None)
+
+    @cached_property
+    def _profile(self) -> Profile:
+        frozen = self.frozen
+        if not frozen:
+            return Profile(None, (), 0)
+        s = frozen[-1]
+        red = tuple(i for i in self.unfrozen if i < s)
+        return Profile(s, red, len(red))
 
     @cached_property
     def is_plain(self) -> bool:
@@ -155,12 +164,7 @@ def from_unfrozen_set(m: int, unfrozen: Iterable[int], label: str = "") -> CodeS
 def profile(spec: CodeSpec) -> Profile:
     """Last frozen index, the unfrozen bits before it, and gamma."""
 
-    frozen = spec.frozen
-    if not frozen:
-        return Profile(None, (), 0)
-    s = frozen[-1]
-    red = tuple(i for i in spec.unfrozen if i < s)
-    return Profile(s, red, len(red))
+    return spec._profile
 
 
 def from_rm(r: int, m: int) -> CodeSpec:

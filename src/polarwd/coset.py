@@ -43,36 +43,42 @@ orbit u30 of that code, 24 dimensions natural, sums through a pairing of 8.
 
 The split of a set depends on (blocks, n, length, basis) only, not on its
 offset.  So the cache holds one node per such tuple: its split plan (the
-children's bases K_v, K_w and the mixed generators), its two child nodes
-and a dict from reduced offset to the handle of that set's sum; the base
-nodes at n = 1 keep their sums in the same table.  A one-block node is
-keyed (n, length, basis), a group of more blocks (n, length, basis,
-blocks).  A step cuts one offset into its children's offsets (a natural cut
-takes 16 prefix bits at a time through two 64 KiB tables, a cut whose sides
-are one run of blocks each one shift and mask per side, any other cut
-gathers block by block), reduces them, then walks its boxes against the
-children's dicts, each lookup keyed by one int.
+children's bases K_v, K_w and the mixed generators), its two child nodes,
+a dict from reduced offset to the handle of that set's sum, and a side-row
+dict per child (below); the base nodes at n = 1 keep their sums in the
+same table.  A one-block node is keyed (n, length, basis), a group of more
+blocks (n, length, basis, blocks).  A step cuts one offset into its
+children's offsets (a natural cut takes 16 prefix bits at a time through
+two 64 KiB tables, a cut whose sides are one run of blocks each one shift
+and mask per side, any other cut gathers block by block), reduces them,
+then walks its boxes against the children's dicts, each lookup keyed by
+one int.
 
 The sums take few distinct values: the automorphisms that let one coset
 stand for a whole orbit act at every level too, so many sets share one
 enumerator (on a PAC(64) code, 33,940 memoised sets have 27 distinct sums).
 So the recursion is hash-consed.  The cache stores each distinct sum once
 and hands out a small-int id for it.  A step walks its boxes in blocks of
-at most 2^_LOW, and every block follows one rule: its child handles in box
-order, (x0, y0, x1, y1, ...), fix the multiset of its (left, right) pairs
-and so its sum on any node, so that row is looked up first and a repeat
-costs one lookup.  Only a row that misses counts its distinct pairs; the
-count (a "mix") is memoised to the id of its sum, and a new mix multiplies
-each distinct pair once and adds count x product.  A step of one block
-returns that block's sum; a step of more blocks adds its block sums through
-the same memo, keyed by how often each block sum occurs.  A value that
-finds the value table full stands for itself instead of an id, so results
-stay exact whatever the caps.
+at most 2^_LOW, the boxes (a ^ da, b ^ db) of one block offset (a, b).
+The block's left handles, at a ^ da for each of its da, depend on a alone
+and its right ones on b alone, so each node memoises each side's row of
+handles by that side's offset, and a block whose a (or b) was seen before
+looks up no box on that side.  Every block then follows one rule: its two
+rows, concatenated (x0, x1, ..., y0, y1, ...), fix the multiset of its
+(left, right) pairs and so its sum on any node, so that key is looked up
+next and a repeat costs one lookup.  Only a key that misses counts its
+distinct pairs; the count (a "mix") is memoised to the id of its sum, and
+a new mix multiplies each distinct pair once and adds count x product.  A
+step of one block returns that block's sum; a step of more blocks adds its
+block sums through the same memo, keyed by how often each block sum
+occurs.  A value that finds the value table full stands for itself instead
+of an id, so results stay exact whatever the caps.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
+from types import MappingProxyType
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .wef import WeightEnumerator
@@ -101,14 +107,21 @@ class _Node:
     sub-groups a step splits it into: ``_split`` for the natural halves,
     else the cut that ``_choose`` built with the plan of its split, after
     ``_quarters`` for a one-block node.  ``k_v`` and ``k_w`` are the
-    children's bases; ``low`` and ``high`` list the mixed generators.
-    ``sums`` maps offsets to the handles of their sums; only a node kept in
-    the cache's node table (``stored``) ever gets an entry.  A node with
-    ``left`` None is the n = 1 base case, whose sums are stored like any
-    other node's; ``free`` says whether its one bit runs free.
+    children's bases; ``high`` lists the mixed generators past the first
+    _LOW, and ``low`` the boxes those span, box j's (da, db) being
+    (low[0][j], low[1][j]).  ``sums`` maps offsets to the handles of their
+    sums, and ``rows[0]`` (``rows[1]``) maps a reduced left (right) child
+    offset to the row of that child's handles at it xor each of ``low[0]``
+    (``low[1]``); only a node kept in the cache's node table (``stored``)
+    ever gets an entry in either, and any other has read-only empty rows.
+    A node with ``left`` None is the n = 1 base case, whose sums are
+    stored like any other node's; ``free`` says whether its one bit runs
+    free.
     """
 
-    __slots__ = ("sums", "stored", "free", "cut", "k_v", "k_w", "low", "high", "left", "right")
+    __slots__ = (
+        "sums", "rows", "stored", "free", "cut", "k_v", "k_w", "low", "high", "left", "right"
+    )
 
     def __init__(
         self, n: int, length: int, basis: tuple[int, ...], blocks: int, cache: CosetCache
@@ -141,12 +154,14 @@ class _Node:
             self.free = bool(_free(basis, length, 1))
             return
         self.k_v, self.k_w, mixed = plan
-        # (da, db) of every box spanned by the first _LOW generators
+        # (da, db) of every box spanned by the first _LOW generators, kept
+        # as the two sides' tuples
         low = [(0, 0)]
         for da, db in mixed[:_LOW]:
             low += [(x ^ da, y ^ db) for x, y in low]
-        self.low = tuple(low)
+        self.low = tuple(zip(*low))
         self.high = mixed[_LOW:]
+        self.rows = _NO_ROWS
         self.left = _node(n, width, self.k_v, cache, len(sides[0]))
         self.right = _node(n, width, self.k_w, cache, len(sides[1]))
 
@@ -162,27 +177,32 @@ class CosetCache:
       nodes' included, reduced offset -> handle of the set's sum; ``len``
       counts its entries over all nodes;
     - the value table: each distinct sum polynomial once, ``values[id]``;
-    - ``steps``: a block's child handles in box order, x0, y0, x1, y1, ...
-      -> handle of the block's sum;
+    - the row table (``put_row``): each node's two side-row dicts, a
+      reduced child offset -> that child's handles at it xor each of the
+      side's low deltas;
+    - ``steps``: a block's left row then its right row, x0, x1, ..., y0,
+      y1, ... -> handle of the block's sum;
     - ``mixes``: a block's distinct (left, right) pairs with their box
       counts, or a step's distinct block handles with their block counts
       -> handle of the sum.
 
-    ``max_entries`` caps each of the five tables; the sum table is capped
-    as a whole.  Each table stops growing silently at the cap and entries
-    are never mutated after insertion.  A node is stored after its children,
-    so a stored node only refers to stored nodes; a node made when the node
-    table is full serves the one call that made it and stores no sums.  A
-    value refused by the full value table goes on as its own handle (an
-    enumerator, hashed and compared by value, in step and mix keys alike),
-    and a refused row or mix is recomputed when next needed, so a full
-    table costs speed, never exactness.
+    ``max_entries`` caps each of the six tables; the sum and row tables
+    are capped as a whole.  Each table stops growing silently at the cap
+    and entries are never mutated after insertion.  A node is stored after
+    its children, so a stored node only refers to stored nodes; a node made
+    when the node table is full serves the one call that made it and
+    stores no sums or rows.  A value refused by the full value table goes
+    on as its own handle (an enumerator, hashed and compared by value, in
+    step and mix keys alike), and a refused side row, step or mix is
+    recomputed when next needed, so a full table costs speed, never
+    exactness.
     """
 
     def __init__(self, max_entries: int = 1 << 20):
         self.max_entries = max_entries
         self.nodes: dict[tuple, _Node] = {}
         self._sums = 0
+        self._rows = 0
         self.values: list[WeightEnumerator] = []
         self._ids: dict[tuple[int, ...], int] = {}
         self.mixes: dict[frozenset[tuple[Union[Handle, tuple[Handle, Handle]], int]], Handle] = {}
@@ -197,6 +217,13 @@ class CosetCache:
         if node.stored and self._sums < self.max_entries:
             node.sums[offset] = value
             self._sums += 1
+
+    def put_row(self, node: _Node, side: int, offset: int, row: tuple[Handle, ...]) -> None:
+        """Store a side row that ``node.rows[side]`` just missed."""
+
+        if node.stored and self._rows < self.max_entries:
+            node.rows[side][offset] = row
+            self._rows += 1
 
     def intern(self, value: WeightEnumerator) -> Handle:
         """The id of ``value``'s stored copy; ``value`` itself when it is
@@ -231,6 +258,8 @@ def _node(
         if len(cache.nodes) < cache.max_entries:
             cache.nodes[key] = node
             node.stored = True
+            if node.left is not None:
+                node.rows = ({}, {})
     return node
 
 
@@ -258,6 +287,9 @@ _LOW = 4
 # more than 2^_QUARTER boxes: below that, the ranks cost more than any
 # better split saves (measured on the code-mix benchmark)
 _QUARTER = 6
+
+# the side rows of a node outside the node table, which stores none
+_NO_ROWS = (MappingProxyType({}), MappingProxyType({}))
 
 _XOR16 = _table16(False)
 _ODD16 = _table16(True)
@@ -383,8 +415,7 @@ def _step(node: _Node, offset: int, cache: CosetCache) -> Handle:
     """One recursion step: the sum of one of the node's sets from its
     children's sums."""
 
-    left, right = node.left, node.right
-    if left is None:
+    if node.left is None:
         # the one-bit word u_0 weighs u_0
         value = WeightEnumerator([1, 1]) if node.free else WeightEnumerator.monomial(offset)
         return cache.intern(value)
@@ -397,33 +428,26 @@ def _step(node: _Node, offset: int, cache: CosetCache) -> Handle:
     for r in node.k_w:
         if b ^ r < b:
             b ^= r
-    low, high = node.low, node.high
-    get, put, steps = cache.get, cache.put, cache.steps
+    high = node.high
+    rows_v, rows_w = node.rows
+    steps = cache.steps
     blocks: list[Handle] = []
     # the boxes in blocks of ``low``, each block moved from the last by one
     # ``high`` generator (Gray code)
     while True:
-        row: list[Handle] = []
-        for da, db in low:
-            da ^= a
-            db ^= b
-            x = get(left, da)
-            if x is None:
-                x = _step(left, da, cache)
-                put(left, da, x)
-            y = get(right, db)
-            if y is None:
-                y = _step(right, db, cache)
-                put(right, db, y)
-            row.append(x)
-            row.append(y)
-        # the block's child handles in box order, x0, y0, x1, y1, ..., fix
-        # the multiset of its pairs and so its sum, on any node
-        key = tuple(row)
+        # a side's row of child handles depends on that side's offset alone
+        row_v = rows_v.get(a)
+        if row_v is None:
+            row_v = _row(node, 0, a, cache)
+        row_w = rows_w.get(b)
+        if row_w is None:
+            row_w = _row(node, 1, b, cache)
+        # the two rows, x0, x1, ..., y0, y1, ..., halves of one length, fix
+        # the multiset of the block's pairs and so its sum, on any node
+        key = row_v + row_w
         block = steps.get(key)
         if block is None:
-            pairs = iter(key)
-            block = _mix(zip(pairs, pairs), cache)
+            block = _mix(zip(row_v, row_w), cache)
             if len(steps) < cache.max_entries:
                 steps[key] = block
         if not high:
@@ -435,6 +459,28 @@ def _step(node: _Node, offset: int, cache: CosetCache) -> Handle:
         da, db = high[(t & -t).bit_length() - 1]
         a ^= da
         b ^= db
+
+
+def _row(node: _Node, side: int, offset: int, cache: CosetCache) -> tuple[Handle, ...]:
+    """The row of ``node``'s child on ``side`` (0: left, 1: right) at its
+    reduced ``offset``: the handles of the child's sums at the offset xor
+    each of the side's low deltas, each from the sum table or, on a miss,
+    by a recursion step.  Stored in ``node.rows[side]`` while there is
+    room."""
+
+    child = node.right if side else node.left
+    get, put = cache.get, cache.put
+    row: list[Handle] = []
+    for d in node.low[side]:
+        d ^= offset
+        x = get(child, d)
+        if x is None:
+            x = _step(child, d, cache)
+            put(child, d, x)
+        row.append(x)
+    result = tuple(row)
+    cache.put_row(node, side, offset, result)
+    return result
 
 
 def _mix(items: Iterable[Union[Handle, tuple[Handle, Handle]]], cache: CosetCache) -> Handle:

@@ -56,6 +56,13 @@ class TestProfile:
     def test_rm_3_7_gamma(self):
         assert profile(from_rm(3, 7)).gamma == 49
 
+    def test_worked_out_once_per_spec(self, hamming16_spec):
+        # the engine asks once per prefix set; the statuses never change
+        spec = hamming16_spec
+        assert profile(spec) is profile(spec)
+        assert spec.frozen is spec.frozen and spec.unfrozen is spec.unfrozen
+        assert spec.k == len(spec.unfrozen) == 11
+
 
 class TestReedMuller:
     def test_full_order_is_rate_one(self):

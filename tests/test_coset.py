@@ -329,7 +329,7 @@ class TestChoose:
         assert sides == TIE_ORDER[4][0] and len(plan[2]) == 8
         node = _node(32, 32, basis, CosetCache())
         assert node.cut is _split
-        assert len(node.low) << len(node.high) == 1 << 8
+        assert len(node.low[0]) << len(node.high) == 1 << 8
 
 
 class TestAffineSum:
@@ -395,7 +395,7 @@ class TestAffineSum:
         cache = CosetCache()
         node = _node(128, prof.s + 1, tuple(_rref(1 << i for i in free)), cache)
         assert node.cut is not _split
-        assert len(node.low) << len(node.high) == 1 << 8
+        assert len(node.low[0]) << len(node.high) == 1 << 8
         assert any(len(key) == 4 for key in cache.nodes)
 
     def test_matches_oracle(self):
@@ -447,7 +447,17 @@ class TestAffineSum:
         for spec in specs:
             assert wef_direct(spec, cache=shared) == wef_direct(spec, cache=CosetCache())
 
-    def test_tiny_cache_stays_exact_and_bounded(self, hamming16_spec):
+    def test_tiny_cache_stays_exact_and_bounded(self, hamming16_spec, monkeypatch):
+        # every node made, the ones the node table refuses included
+        made = {}
+        make = coset._node
+
+        def recorded(*args):
+            result = make(*args)
+            made[id(result)] = result
+            return result
+
+        monkeypatch.setattr(coset, "_node", recorded)
         bec = from_bhattacharyya_bec(6, 20, 0.4)
         offset, basis = nested_set()
         for total, expected in [
@@ -461,6 +471,7 @@ class TestAffineSum:
             # every table full or not, and values past the cap are carried as
             # enumerators, not ids
             for cap in (0, 1, 2, 4):
+                made.clear()
                 cache = CosetCache(max_entries=cap)
                 assert total(cache=cache) == expected
                 nodes = list(cache.nodes.values())
@@ -468,6 +479,15 @@ class TestAffineSum:
                 assert sums == len(cache)
                 tables = (nodes, cache.values, cache.mixes, cache.steps)
                 assert sums <= cap and all(len(table) <= cap for table in tables)
+                # side rows stay within the cap, on stored nodes only
+                rows = [
+                    (node.stored, len(side))
+                    for node in made.values()
+                    if node.left is not None
+                    for side in node.rows
+                ]
+                assert sum(count for _, count in rows) <= cap
+                assert all(stored for stored, count in rows if count)
                 # stored nodes refer to stored nodes only, and only they hold sums
                 stored = {id(node) for node in nodes}
                 assert all(
@@ -478,6 +498,37 @@ class TestAffineSum:
                 )
                 if cap:
                     assert nodes and cache.values
+
+    def test_repeated_side_row_skips_its_lookups(self, monkeypatch):
+        # two sets of one node whose left offsets agree and right offsets
+        # differ: the second finds its left row stored and looks up no sum
+        # of the left child
+        basis = (0b10, 0b1000, 0b10000)  # halves (1, 1), (2, 2) and (4, 0)
+        offsets = [halves_to_prefix(0b1001, b) for b in (0, 0b1000)]
+        expected = [
+            sum((coset_wef(16, 8, p) for p in span(offset, basis)), WeightEnumerator.zero())
+            for offset in offsets
+        ]
+        looked_up = []
+        get = CosetCache.get
+
+        def counted(cache, node, offset):
+            looked_up.append(node)
+            return get(cache, node, offset)
+
+        monkeypatch.setattr(CosetCache, "get", counted)
+        cache = CosetCache()
+        top = _node(16, 8, tuple(_rref(basis)), cache)
+        # (4, 0) spans the left child's basis, and a left row holds 4 boxes
+        assert top.left is not top.right and len(top.low[0]) == 4
+        gets = []
+        for offset, value in zip(offsets, expected):
+            looked_up.clear()
+            assert affine_sum(16, 8, offset, basis, cache) == value
+            gets.append((looked_up.count(top.left), looked_up.count(top.right)))
+        (first_v, first_w), (second_v, second_w) = gets
+        assert first_v and first_w and second_w
+        assert second_v == 0
 
     def test_step_keys_of_enumerator_handles_stay_exact(self):
         # a value table that is full before the run hands out every sum as an

@@ -345,6 +345,18 @@ class TestRouteEquivalence:
         # macwilliams raises unless its input is a linear code's enumerator
         assert macwilliams(lta, spec.n, k).eval_at_one() == 1 << dual.k
 
+    def test_direct_and_lta_agree_at_n256(self):
+        # past the paper's n = 128, with no reference values: the two routes
+        # check each other, and macwilliams checks that the result is a
+        # linear code's enumerator; the lifted budget admits direct's 2^37
+        # and lta's 3.0e9 predicted cosets
+        spec = from_bhattacharyya_bec(8, 64, 0.5)
+        lifted = 1 << 64
+        lta = wef_lta(spec, budget=lifted)
+        assert wef_direct(spec, budget=lifted) == lta
+        assert lta.eval_at_one() == 1 << 64 and lta.coeffs[0] == 1
+        assert macwilliams(lta, spec.n, 64).eval_at_one() == 1 << spec.n - 64
+
     def test_random_decreasing_specs(self):
         rng = random.Random(2024)
         from polarwd import Monomial, from_unfrozen_set
