@@ -2,9 +2,10 @@
 """Compute the exact weight distribution of the reference (128,64) polar code.
 
 This covers 60 752 896 coset enumerators with the group-reduced recursion
-and takes about a second on a 2-vCPU machine; pass --dry-run to print the
-predicted coset counts and exit.  The counts and the elapsed time go to
-standard error, the distribution (exact integers) to stdout.
+and takes 1.2-1.5 s on a 2-vCPU machine, about 1 s of it computing; pass
+--dry-run to print the predicted coset counts and exit.  The counts and
+the elapsed time go to standard error, the distribution (exact integers)
+to stdout.
 """
 
 import argparse

@@ -295,6 +295,8 @@ def dual_spec(spec: CodeSpec) -> CodeSpec:
 
 def _json_m(obj: dict, limit: int = MAX_JSON_M) -> int:
     m = operator.index(obj["m"])
+    if m < 0:
+        raise ValueError("m must be non-negative")
     if m > limit:
         raise ValueError(f"m={m} exceeds the limit of {limit}")
     return m

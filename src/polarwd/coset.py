@@ -41,18 +41,17 @@ a set that mixes alike under every split (the whole direct-route set of
 the (128,64) code mixes 16 dimensions under each) stays natural, while the
 orbit u30 of that code, 24 dimensions natural, sums through a pairing of 8.
 
-The split of a set depends on (blocks, n, length, basis) only, not on its
-offset.  So the cache holds one node per such tuple: its split plan (the
-children's bases K_v, K_w and the mixed generators), its two child nodes,
-a dict from reduced offset to the handle of that set's sum, and a side-row
-dict per child (below); the base nodes at n = 1 keep their sums in the
-same table.  A one-block node is keyed (n, length, basis), a group of more
-blocks (n, length, basis, blocks).  A step cuts one offset into its
-children's offsets (a natural cut takes 16 prefix bits at a time through
-two 64 KiB tables, a cut whose sides are one run of blocks each one shift
-and mask per side, any other cut gathers block by block), reduces them,
-then walks its boxes against the children's dicts, each lookup keyed by
-one int.
+The split of a set depends on (n, length, basis, blocks) only, not on its
+offset, with blocks = 1 for a single block.  So the cache holds one node
+per such tuple, keyed by it: its split plan (the children's bases K_v, K_w
+and the mixed generators), its two child nodes, a dict from reduced offset
+to the handle of that set's sum, and a side-row dict per child (below);
+the base nodes at n = 1 keep their sums in the same table.  A step cuts
+one offset into its children's offsets (a natural cut takes 16 prefix bits
+at a time through two 64 KiB tables, a cut whose sides are one run of
+blocks each one shift and mask per side, any other cut gathers block by
+block), reduces them, then walks its boxes against the children's dicts,
+each lookup keyed by one int.
 
 The sums take few distinct values: the automorphisms that let one coset
 stand for a whole orbit act at every level too, so many sets share one
@@ -78,7 +77,6 @@ of an id, so results stay exact whatever the caps.
 from __future__ import annotations
 
 from itertools import combinations
-from types import MappingProxyType
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .wef import WeightEnumerator
@@ -112,22 +110,17 @@ class _Node:
     (low[0][j], low[1][j]).  ``sums`` maps offsets to the handles of their
     sums, and ``rows[0]`` (``rows[1]``) maps a reduced left (right) child
     offset to the row of that child's handles at it xor each of ``low[0]``
-    (``low[1]``); only a node kept in the cache's node table (``stored``)
-    ever gets an entry in either, and any other has read-only empty rows.
-    A node with ``left`` None is the n = 1 base case, whose sums are
-    stored like any other node's; ``free`` says whether its one bit runs
-    free.
+    (``low[1]``).  A node with ``left`` None is the n = 1 base case, whose
+    sums are stored like any other node's; ``free`` says whether its one
+    bit runs free.
     """
 
-    __slots__ = (
-        "sums", "rows", "stored", "free", "cut", "k_v", "k_w", "low", "high", "left", "right"
-    )
+    __slots__ = ("sums", "rows", "free", "cut", "k_v", "k_w", "low", "high", "left", "right")
 
     def __init__(
         self, n: int, length: int, basis: tuple[int, ...], blocks: int, cache: CosetCache
     ):
         self.sums: dict[int, Handle] = {}
-        self.stored = False
         self.left: Optional[_Node] = None
         self.right: Optional[_Node] = None
         if blocks > 1:
@@ -161,7 +154,7 @@ class _Node:
             low += [(x ^ da, y ^ db) for x, y in low]
         self.low = tuple(zip(*low))
         self.high = mixed[_LOW:]
-        self.rows = _NO_ROWS
+        self.rows: tuple[dict[int, tuple[Handle, ...]], ...] = ({}, {})
         self.left = _node(n, width, self.k_v, cache, len(sides[0]))
         self.right = _node(n, width, self.k_w, cache, len(sides[1]))
 
@@ -170,9 +163,7 @@ class CosetCache:
     """Bounded memo tables of the coset recursion, which keeps all its state
     here and none at module level.
 
-    - ``nodes``: (n, length, basis) of a one-block set, or
-      (n, length, basis, blocks) of a group of more blocks -> the node of
-      those sets;
+    - ``nodes``: (n, length, basis, blocks) -> the node of those sets;
     - the sum table (``get``/``put``): each node's ``sums``, the n = 1 base
       nodes' included, reduced offset -> handle of the set's sum; ``len``
       counts its entries over all nodes;
@@ -189,13 +180,11 @@ class CosetCache:
     ``max_entries`` caps each of the six tables; the sum and row tables
     are capped as a whole.  Each table stops growing silently at the cap
     and entries are never mutated after insertion.  A node is stored after
-    its children, so a stored node only refers to stored nodes; a node made
-    when the node table is full serves the one call that made it and
-    stores no sums or rows.  A value refused by the full value table goes
-    on as its own handle (an enumerator, hashed and compared by value, in
-    step and mix keys alike), and a refused side row, step or mix is
-    recomputed when next needed, so a full table costs speed, never
-    exactness.
+    its children, so a stored node only refers to stored nodes.  A value
+    refused by the full value table goes on as its own handle (an
+    enumerator, hashed and compared by value, in step and mix keys alike),
+    and a refused node, side row, step or mix is recomputed when next
+    needed, so a full table costs speed, never exactness.
     """
 
     def __init__(self, max_entries: int = 1 << 20):
@@ -214,14 +203,14 @@ class CosetCache:
     def put(self, node: _Node, offset: int, value: Handle) -> None:
         """Store the sum of a set that ``get`` just missed."""
 
-        if node.stored and self._sums < self.max_entries:
+        if self._sums < self.max_entries:
             node.sums[offset] = value
             self._sums += 1
 
     def put_row(self, node: _Node, side: int, offset: int, row: tuple[Handle, ...]) -> None:
         """Store a side row that ``node.rows[side]`` just missed."""
 
-        if node.stored and self._rows < self.max_entries:
+        if self._rows < self.max_entries:
             node.rows[side][offset] = row
             self._rows += 1
 
@@ -251,15 +240,12 @@ def _node(
     """The cache's node of (n, length, basis, blocks), made with its subtree
     if new."""
 
-    key = (n, length, basis) if blocks == 1 else (n, length, basis, blocks)
+    key = (n, length, basis, blocks)
     node = cache.nodes.get(key)
     if node is None:
         node = _Node(n, length, basis, blocks, cache)
         if len(cache.nodes) < cache.max_entries:
             cache.nodes[key] = node
-            node.stored = True
-            if node.left is not None:
-                node.rows = ({}, {})
     return node
 
 
@@ -287,9 +273,6 @@ _LOW = 4
 # more than 2^_QUARTER boxes: below that, the ranks cost more than any
 # better split saves (measured on the code-mix benchmark)
 _QUARTER = 6
-
-# the side rows of a node outside the node table, which stores none
-_NO_ROWS = (MappingProxyType({}), MappingProxyType({}))
 
 _XOR16 = _table16(False)
 _ODD16 = _table16(True)

@@ -118,6 +118,13 @@ def _lta_route(spec: CodeSpec, prof: Profile) -> Optional[tuple[int, list[Prefix
     return sum(1 << len(basis) for _, basis, _ in sets), sets
 
 
+def _direct_cosets(prof: Profile) -> int:
+    """The direct route's coset count: one per red-bit assignment, none on
+    a rate-one code, which has no frozen bit and so no cosets."""
+
+    return 0 if prof.s is None else 1 << prof.gamma
+
+
 def estimate_cost(spec: CodeSpec) -> CostEstimate:
     """Coset counts for direct, reduced, and dual strategies, where defined."""
 
@@ -125,7 +132,7 @@ def estimate_cost(spec: CodeSpec) -> CostEstimate:
     for target in (spec, dual_spec(spec)) if spec.is_plain else (spec,):
         prof = profile(target)
         route = _lta_route(target, prof)
-        counts += [1 << prof.gamma, None if route is None else route[0]]
+        counts += [_direct_cosets(prof), None if route is None else route[0]]
     return CostEstimate(*counts)
 
 
@@ -216,14 +223,15 @@ def wef_direct(
 
     The prefixes of all assignments form one affine set (``_direct_sets``),
     and ``affine_sum`` adds their cosets in one recursion.  The cosets are
-    counted off the sum; raises AssertionError if they are not 2^gamma.
+    counted off the sum; raises AssertionError if they are not 2^gamma (0
+    on a rate-one code).
     ``threads`` is accepted and ignored, for callers written against the
     old thread pool: evaluation is single-threaded.
     """
 
     prof = profile(spec)
     return _sum_sets(
-        spec, prof, "direct", 1 << prof.gamma, _direct_sets(spec, prof),
+        spec, prof, "direct", _direct_cosets(prof), _direct_sets(spec, prof),
         budget, cache, stats, progress,
     )
 

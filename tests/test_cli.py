@@ -162,6 +162,18 @@ class TestErrors:
         assert code == 1 and "ERROR[spec_invalid]" in err
 
     @pytest.mark.parametrize(
+        "obj",
+        [{"m": -1, "frozen": []}, {"construction": "rm", "r": 1, "m": -1}],
+        ids=["plain", "rm"],
+    )
+    def test_negative_m_rejected(self, capsys, tmp_path, obj):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = invoke(capsys, "wef", "--spec", str(path))
+        assert (code, out) == (1, "")
+        assert err == "ERROR[spec_invalid] invalid spec: m must be non-negative\n"
+
+    @pytest.mark.parametrize(
         "text",
         [
             # constraint targets outside [0, n)

@@ -167,12 +167,13 @@ class TestInvariants:
             assert calc_a(16, prefix, cache) == calc_a(16, prefix, None)
 
     def test_full_length_pairs_not_cached(self):
-        # PAC32's direct set splits into groups of quarter blocks, keyed
-        # (n, length, basis, blocks) beside the (n, length, basis) of one block
+        # PAC32's direct set splits into groups of quarter blocks; every
+        # node, one block or a group, is keyed (n, length, basis, blocks)
         for spec in (from_rm(2, 5), PAC32):
             cache = CosetCache()
             wef_direct(spec, cache=cache)
             assert len(cache) > 0
+            assert all(len(key) == 4 for key in cache.nodes)
             assert len(cache) == sum(len(node.sums) for node in cache.nodes.values())
             assert any(key[0] == spec.n for key in cache.nodes)
             assert all(key[0] < spec.n for key, node in cache.nodes.items() if node.sums)
@@ -382,7 +383,7 @@ class TestAffineSum:
                     expected = expected + coset_wef(n, length, p, singles)
                 cache = CosetCache()
                 assert affine_sum(n, length, offset, basis, cache) == expected
-                groups |= {key[3] for key in cache.nodes if len(key) == 4}
+                groups |= {key[3] for key in cache.nodes if key[3] > 1}
         # both sub-group sizes of a quarter split were taken
         assert groups == {2, 3}
 
@@ -396,7 +397,7 @@ class TestAffineSum:
         node = _node(128, prof.s + 1, tuple(_rref(1 << i for i in free)), cache)
         assert node.cut is not _split
         assert len(node.low[0]) << len(node.high) == 1 << 8
-        assert any(len(key) == 4 for key in cache.nodes)
+        assert any(key[3] > 1 for key in cache.nodes)
 
     def test_matches_oracle(self):
         for offset, basis in [(0b0110, [0b0011, 0b1000]), (0b101, [0b110]), (1, [])]:
@@ -475,20 +476,20 @@ class TestAffineSum:
                 cache = CosetCache(max_entries=cap)
                 assert total(cache=cache) == expected
                 nodes = list(cache.nodes.values())
-                sums = sum(len(node.sums) for node in nodes)
+                # sums and side rows stay within the cap over every node
+                # made, stored or not
+                sums = sum(len(node.sums) for node in made.values())
                 assert sums == len(cache)
-                tables = (nodes, cache.values, cache.mixes, cache.steps)
-                assert sums <= cap and all(len(table) <= cap for table in tables)
-                # side rows stay within the cap, on stored nodes only
-                rows = [
-                    (node.stored, len(side))
+                rows = sum(
+                    len(side)
                     for node in made.values()
                     if node.left is not None
                     for side in node.rows
-                ]
-                assert sum(count for _, count in rows) <= cap
-                assert all(stored for stored, count in rows if count)
-                # stored nodes refer to stored nodes only, and only they hold sums
+                )
+                tables = (nodes, cache.values, cache.mixes, cache.steps)
+                assert sums <= cap and rows <= cap
+                assert all(len(table) <= cap for table in tables)
+                # stored nodes refer to stored nodes only
                 stored = {id(node) for node in nodes}
                 assert all(
                     id(child) in stored
@@ -566,7 +567,7 @@ class TestAffineSum:
                 assert affine_sum(n, length, offset, basis, shared) == affine_sum(
                     n, length, offset, basis, CosetCache()
                 )
-            nodes = [shared.nodes[n, length, basis] for n in (16, 32, 64)]
+            nodes = [shared.nodes[n, length, basis, 1] for n in (16, 32, 64)]
             assert len({(node.k_v, node.k_w, node.low, node.high) for node in nodes}) == 1
 
 
@@ -616,7 +617,7 @@ class TestHashConsing:
         # n = 2, which both encode to weight-1 words
         cache = CosetCache()
         assert affine_sum(4, 4, 0b1110, (), cache) == WeightEnumerator([0, 0, 1])
-        sums = cache.nodes[2, 2, ()].sums
+        sums = cache.nodes[2, 2, (), 1].sums
         assert sums.keys() == {0b01, 0b11}
         first, second = sums[0b01], sums[0b11]
         assert type(first) is int and first == second
@@ -635,7 +636,7 @@ class TestHashConsing:
         )
         cache = CosetCache()
         assert affine_sum(4, 4, 0, (), cache) == WeightEnumerator([1])
-        base, node = cache.nodes[1, 1, ()], cache.nodes[2, 2, ()]
+        base, node = cache.nodes[1, 1, (), 1], cache.nodes[2, 2, (), 1]
         assert base.sums == node.sums == {0: 0}
         assert puts == [(base, 0, 0), (node, 0, 0)]
         assert cache.get(base, 0) == cache.get(node, 0) == 0

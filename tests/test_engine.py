@@ -253,6 +253,11 @@ class TestEstimateCost:
         spec = from_unfrozen_set(3, [7])
         assert estimate_cost(spec).direct_cosets == 1
 
+    def test_rate_one_direct_zero(self):
+        # a rate-one code has no coset, and neither has a rate-zero code's dual
+        assert estimate_cost(from_frozen_set(3, [])).direct_cosets == 0
+        assert estimate_cost(from_frozen_set(3, range(8))).dual_direct_cosets == 0
+
     def test_example_code(self, hamming16_spec):
         cost = estimate_cost(hamming16_spec)
         assert cost.direct_cosets == 16
@@ -319,6 +324,29 @@ class TestAuto:
         _, report = wef_auto(hamming16_spec, strategy="lta")
         assert report.predicted_cosets == report.cosets_evaluated == 5
 
+    @pytest.mark.parametrize("allow_dual", [False, True])
+    @pytest.mark.parametrize(
+        "frozen, routes",
+        [
+            # rate one: no frozen bit and so no coset on any direct or
+            # reduced route; ties go to lta
+            ([], {"auto": "lta", "direct": "direct", "lta": "lta"}),
+            # rate zero: one coset, none on the dual, which has rate one;
+            # ties go to lta, then dual+lta
+            (range(8), {"auto": ("lta", "dual+lta"), "direct": "direct", "lta": "lta"}),
+        ],
+        ids=["rate-one", "rate-zero"],
+    )
+    def test_degenerate_rates_predict_what_runs(self, frozen, routes, allow_dual):
+        spec = from_frozen_set(3, frozen)
+        for strategy, route in routes.items():
+            if isinstance(route, tuple):
+                route = route[allow_dual]
+            wef, report = wef_auto(spec, strategy, allow_dual)
+            assert report.route == route
+            assert report.predicted_cosets == report.cosets_evaluated
+            assert wef.eval_at_one() == 1 << spec.k
+
 
 class TestRouteEquivalence:
     def test_bec_6_32_above_oracle_guard(self):
@@ -356,6 +384,20 @@ class TestRouteEquivalence:
         assert wef_direct(spec, budget=lifted) == lta
         assert lta.eval_at_one() == 1 << 64 and lta.coeffs[0] == 1
         assert macwilliams(lta, spec.n, 64).eval_at_one() == 1 << spec.n - 64
+
+    def test_direct_and_dual_direct_agree_at_n256(self):
+        # the direct route on bec(8,192) and on its dual (k = 64), mapped
+        # back by macwilliams, check each other; the lifted budget admits
+        # both routes' predicted cosets
+        spec = from_bhattacharyya_bec(8, 192, 0.5)
+        dual = dual_spec(spec)
+        lifted = 1 << 256
+        direct = wef_direct(spec, budget=lifted)
+        assert dual.k == 64
+        assert macwilliams(wef_direct(dual, budget=lifted), spec.n, dual.k) == direct
+        assert direct.eval_at_one() == 1 << 192 and direct.coeffs[0] == 1
+        d_min = next(w for w, count in enumerate(direct.coeffs) if w and count)
+        assert (d_min, direct.coeffs[d_min]) == (4, 192)
 
     def test_random_decreasing_specs(self):
         rng = random.Random(2024)
