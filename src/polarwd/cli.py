@@ -225,7 +225,9 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("wef", help="compute the full weight enumerator")
     _add_spec_arg(p)
     p.add_argument("--strategy", choices=["auto", "direct", "lta"], default="auto")
-    p.add_argument("--allow-dual", action="store_true")
+    p.add_argument(
+        "--allow-dual", action="store_true", help="also weigh the strategy's routes on the dual"
+    )
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--progress", action="store_true")
     _add_out_arg(p)

@@ -9,6 +9,7 @@ convolutional precoding, and arbitrary binary linear codes.
 from __future__ import annotations
 
 import operator
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
@@ -213,16 +214,37 @@ def from_bhattacharyya_bec(m: int, k: int, erasure: float) -> CodeSpec:
     return spec
 
 
+def _row_space_spec(m: int, rows: Sequence[int], label: str) -> CodeSpec:
+    """The dynamic spec whose information words u span the same space as
+    ``rows``, a reduced row echelon basis from ``coset._rref`` whose bit
+    n-1-i is position i.
+
+    Each row's lowest set position is its pivot, clear in every other row:
+    the pivots are the unfrozen positions, and every other position is the
+    xor of the pivots whose rows set it, all earlier.  The supports are read
+    off each row's set bits.
+    """
+
+    n = 1 << m
+    supports: list[Optional[list[int]]] = [[] for _ in range(n)]
+    for r in rows:
+        pivot, *rest = (hit.start() for hit in re.finditer("1", format(r, f"0{n}b")))
+        supports[pivot] = None
+        for i in rest:
+            supports[i].append(pivot)
+    statuses = tuple(
+        None if s is None else FreezeConstraint(i, frozenset(s)) for i, s in enumerate(supports)
+    )
+    return CodeSpec(m, statuses, label)
+
+
 def from_generator_matrix(gen: Sequence[Sequence[int]]) -> CodeSpec:
     """Represent the row space of a full-rank k x n matrix as a dynamic spec.
 
     The information-domain generators are the rows of G times the transform
-    (an involution, so codeword c maps back to u = c G_n).  Each row is read
-    as an int whose bit n-1-i is column i, so the reduced row echelon basis
-    has each row's lowest set column as its pivot, clear in every other row:
-    the pivots become the unfrozen positions and every other column reads
-    off a causal affine constraint.  Entries must be the integers 0 or 1
-    (bools included).
+    (an involution, so codeword c maps back to u = c G_n); their reduced row
+    echelon basis gives the spec (``_row_space_spec``).  Entries must be the
+    integers 0 or 1 (bools included).
     """
 
     g = np.array(gen)
@@ -238,22 +260,18 @@ def from_generator_matrix(gen: Sequence[Sequence[int]]) -> CodeSpec:
     rows = _rref(int("".join(map(str, row)), 2) for row in u_rows)
     if len(rows) < k:
         raise ValueError(f"generator matrix has rank {len(rows)}, expected {k}")
-    pivots = {n - r.bit_length(): r for r in rows}
-    statuses: list[Optional[FreezeConstraint]] = [
-        None
-        if i in pivots
-        else FreezeConstraint(i, frozenset(p for p, r in pivots.items() if r >> n - 1 - i & 1))
-        for i in range(n)
-    ]
-    return CodeSpec(m, tuple(statuses), label=f"generator({n},{k})")
+    return _row_space_spec(m, rows, f"generator({n},{k})")
 
 
 def pac_spec(m: int, rate_profile: Iterable[int], conv_taps: Sequence[int]) -> CodeSpec:
     """Convolutionally precoded spec: u = v T with v zero outside the profile.
 
-    T is the unit-diagonal upper-triangular Toeplitz matrix of the taps, so v
-    is causally recoverable from u and each frozen position yields an affine
-    constraint on earlier bits of u.  Taps must be 0 or 1 (bools included).
+    T is the unit-diagonal upper-triangular Toeplitz matrix of the taps: row
+    p sets u index p + d for each tap d that is 1.  The rows of the profile
+    span the code's information words, and their reduced row echelon basis
+    gives the spec (``_row_space_spec``): the profile is unfrozen, and each
+    support names only unfrozen bits.  A precoder whose span has a plain
+    basis yields a plain spec.  Taps must be 0 or 1 (bools included).
     """
 
     if any(t not in (0, 1) for t in conv_taps):
@@ -265,21 +283,13 @@ def pac_spec(m: int, rate_profile: Iterable[int], conv_taps: Sequence[int]) -> C
     prof = set(rate_profile)
     if any(i < 0 or i >= n for i in prof):
         raise ValueError("rate profile index out of range")
-    # rep[i] = bitmask over u-indices expressing v_i = u . rep[i]
-    rep: list[int] = []
-    statuses: list[Optional[FreezeConstraint]] = []
-    for i in range(n):
-        expr = 0
-        for d in range(1, min(len(taps), i + 1)):
-            if taps[d]:
-                expr ^= rep[i - d]
-        rep.append(expr ^ (1 << i))
-        if i in prof:
-            statuses.append(None)
-        else:
-            support = frozenset(j for j in range(i) if expr >> j & 1)
-            statuses.append(FreezeConstraint(i, support, 0))
-    return CodeSpec(m, tuple(statuses), label=f"pac(m={m})")
+    # tap d at bit len(taps) - 1 - d; row p puts it at bit n - 1 - (p + d)
+    # and the shift drops the taps past position n - 1.  The rows go in
+    # from the last position back, the cheaper order: each row is reduced
+    # as it enters, and no row already in changes.
+    tap_bits = int("".join(map(str, taps)), 2)
+    rows = _rref((tap_bits << n) >> p + len(taps) for p in sorted(prof, reverse=True))
+    return _row_space_spec(m, rows, f"pac(m={m})")
 
 
 def dual_spec(spec: CodeSpec) -> CodeSpec:
@@ -320,8 +330,8 @@ def spec_from_json(obj: dict) -> CodeSpec:
             raise TypeError(f"erasure must be a number, got {obj['erasure']!r}")
         return from_bhattacharyya_bec(_json_m(obj), operator.index(obj["k"]), float(obj["erasure"]))
     if construction == "pac":
-        # a PAC spec's supports are dense: memory grows 4x per step of m, so
-        # it has the generator matrix's bound
+        # a PAC spec is row-reduced like a generator matrix: the elimination
+        # grows 4x per step of m, so it has the generator matrix's bound
         return pac_spec(
             _json_m(obj, MATRIX_GUARD_M),
             [operator.index(i) for i in obj["profile"]],

@@ -269,8 +269,10 @@ def wef_auto(
 
     Candidate routes are direct, reduced, and (when the spec is plain and
     duals are allowed) the same two on the dual followed by the MacWilliams
-    transform.  All routes produce the identical enumerator; raises
-    AssertionError if it does not count 2^k codewords.
+    transform.  An explicit ``strategy`` keeps the routes of its kind, so
+    with duals allowed "direct" also weighs dual+direct and "lta" dual+lta.
+    All routes produce the identical enumerator; raises AssertionError if it
+    does not count 2^k codewords.
     """
 
     if strategy not in ("auto", "direct", "lta"):
@@ -283,7 +285,9 @@ def wef_auto(
     routes = {"lta": cost.lta_cosets, "direct": cost.direct_cosets}
     if allow_dual:
         routes.update({"dual+lta": cost.dual_lta_cosets, "dual+direct": cost.dual_direct_cosets})
-    candidates = {r: c for r, c in routes.items() if c is not None and strategy in ("auto", r)}
+    # a route's kind is its name's ending: "dual+lta" is an lta route
+    kinds = ("lta", "direct") if strategy == "auto" else strategy
+    candidates = {r: c for r, c in routes.items() if c is not None and r.endswith(kinds)}
     admissible = {r: c for r, c in candidates.items() if c <= budget}
     if not admissible:
         raise BudgetExceeded(

@@ -167,10 +167,38 @@ class TestPac:
         assert spec.is_plain and set(spec.unfrozen) == prof
 
     def test_m2_two_tap_constraints(self):
+        # rows 2 and 3 of T span u_2 and u_3 alone: the code is plain
         spec = pac_spec(2, {2, 3}, [1, 1])
-        c0, c1 = spec.statuses[0], spec.statuses[1]
-        assert c0.support == frozenset() and c0.constant == 0
-        assert c1.support == frozenset({0}) and c1.constant == 0
+        assert spec.is_plain and spec.unfrozen == (2, 3)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_codewords_match_definition(self, seed):
+        # the code is {v T G_n : v supported on the profile}, with T the
+        # unit-diagonal upper-triangular Toeplitz matrix of the taps
+        rng = random.Random(seed)
+        m = rng.randint(0, 4)
+        n = 1 << m
+        taps = [1] + [rng.randint(0, 1) for _ in range(rng.randint(0, 6))]
+        if seed == 0:
+            prof = []
+        elif seed == 1:
+            prof = list(range(n))
+        else:
+            prof = sorted(i for i in range(n) if rng.random() < 0.5)
+        t = np.zeros((n, n), dtype=np.uint8)
+        for p in range(n):
+            for d, tap in enumerate(taps[: n - p]):
+                t[p, p + d] = tap
+        tg = (t[prof].astype(int) @ generator_matrix(m)) % 2
+        expected = {
+            tuple(int(b) for b in (np.array(v, dtype=int) @ tg) % 2)
+            for v in np.ndindex(*([2] * len(prof)))
+        }
+        spec = pac_spec(m, prof, taps)
+        assert codewords(spec) == expected
+        assert spec.unfrozen == tuple(prof)
+        for st in spec.statuses:
+            assert st is None or all(spec.statuses[j] is None for j in st.support)
 
     def test_codeword_count(self):
         spec = pac_spec(3, {3, 5, 6, 7}, [1, 0, 1])

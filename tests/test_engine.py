@@ -318,10 +318,21 @@ class TestAuto:
             "polarwd.engine.wef_direct", lambda spec, **_: WeightEnumerator([1, 1])
         )
         with pytest.raises(AssertionError, match="expected 2\\^11"):
-            wef_auto(hamming16_spec, strategy="direct")
+            wef_auto(hamming16_spec, strategy="direct", allow_dual=False)
+
+    @pytest.mark.parametrize(
+        "strategy, route, predicted", [("direct", "dual+direct", 4), ("lta", "dual+lta", 3)]
+    )
+    def test_explicit_strategy_weighs_its_dual_route(
+        self, hamming16_spec, strategy, route, predicted
+    ):
+        # Hamming(16,11) costs 16 cosets direct and 5 reduced; its dual, 4 and 3
+        wef, report = wef_auto(hamming16_spec, strategy=strategy, allow_dual=True)
+        assert (report.route, report.predicted_cosets) == (route, predicted)
+        assert wef == HAMMING16_WEF
 
     def test_report_counts(self, hamming16_spec):
-        _, report = wef_auto(hamming16_spec, strategy="lta")
+        _, report = wef_auto(hamming16_spec, strategy="lta", allow_dual=False)
         assert report.predicted_cosets == report.cosets_evaluated == 5
 
     @pytest.mark.parametrize("allow_dual", [False, True])
@@ -332,8 +343,16 @@ class TestAuto:
             # reduced route; ties go to lta
             ([], {"auto": "lta", "direct": "direct", "lta": "lta"}),
             # rate zero: one coset, none on the dual, which has rate one;
-            # ties go to lta, then dual+lta
-            (range(8), {"auto": ("lta", "dual+lta"), "direct": "direct", "lta": "lta"}),
+            # ties go to lta, then dual+lta, and an explicit strategy takes
+            # its dual route when duals are allowed
+            (
+                range(8),
+                {
+                    "auto": ("lta", "dual+lta"),
+                    "direct": ("direct", "dual+direct"),
+                    "lta": ("lta", "dual+lta"),
+                },
+            ),
         ],
         ids=["rate-one", "rate-zero"],
     )
