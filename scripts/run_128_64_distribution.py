@@ -5,7 +5,9 @@ This covers 60 752 896 coset enumerators with the group-reduced recursion
 and takes 1.2-1.5 s on a 2-vCPU machine, about 1 s of it computing; pass
 --dry-run to print the predicted coset counts and exit.  The counts and
 the elapsed time go to standard error, the distribution (exact integers)
-to stdout.
+to stdout, or to the file named by --out, which is checked for
+writability before the run: an unwritable one ends the script with an
+``error:`` line and exit code 1.
 """
 
 import argparse
@@ -14,6 +16,7 @@ import sys
 import time
 
 from polarwd import estimate_cost, from_unfrozen_set, wef_lta
+from polarwd.cli import CliError, _check_out
 from polarwd.engine import EngineStats
 
 UNFROZEN = (
@@ -29,6 +32,10 @@ def main() -> None:
     parser.add_argument("--dry-run", action="store_true")
     parser.add_argument("--out", default=None)
     args = parser.parse_args()
+    try:
+        _check_out(args.out)
+    except CliError as exc:
+        sys.exit(f"error: {exc}")
 
     spec = from_unfrozen_set(7, UNFROZEN, label="polar(128,64)")
     cost = estimate_cost(spec)

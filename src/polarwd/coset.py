@@ -29,17 +29,20 @@ the S-group's and the T-group's sums, where m = rank(proj_S) +
 rank(proj_T) - dim.  The natural split is the one-block group cut into its
 two halves.
 A set whose natural split mixes more than _QUARTER dimensions may instead
-cut into its four quarter blocks (a1, a2, b1, b2), split as one of the
-three 2|2 pairings or four 1|3 peels; groups of two or three blocks split
-by peeling one block.  One function (``_choose``) decides and builds every
-split other than the natural one: it prices each candidate by its mixed
-dimensions, from the ranks of the set's projections on its two sides, and
-builds the cut and plan of the winner alone.  A quarter split is taken only
-when it mixes strictly fewer than the natural one; the quarters' halves
-pairing mixes exactly as many.  Small sets never pay for the pricing, and
-a set that mixes alike under every split (the whole direct-route set of
-the (128,64) code mixes 16 dimensions under each) stays natural, while the
-orbit u30 of that code, 24 dimensions natural, sums through a pairing of 8.
+cut into its four quarter blocks, laid out in bit-reversed order
+(a1, b1, a2, b2), and a group splits only at a contiguous cut "its first c
+blocks | the rest": for the quarters the pairing (a1, b1) | (a2, b2) or the
+peels a1 | rest and rest | b2, for three blocks the two peels at its ends.
+No other split of the quarters was taken on the benchmark and acceptance
+codes.
+One function (``_choose``) decides and builds every split other than the
+natural one: it prices each cut by its mixed dimensions, from the ranks of
+the set's projections on its two sides, and builds the cut and plan of the
+winner alone.  A quarter split is taken only when it mixes strictly fewer
+than the natural one.  Small sets never pay for the pricing, and a set that
+mixes alike under every split (the whole direct-route set of the (128,64)
+code mixes 16 dimensions under each) stays natural, while the orbit u30 of
+that code, 24 dimensions natural, sums through a pairing of 8.
 
 The split of a set depends on (n, length, basis, blocks) only, not on its
 offset, with blocks = 1 for a single block.  So the cache holds one node
@@ -48,9 +51,8 @@ and the mixed generators), its two child nodes, a dict from reduced offset
 to the handle of that set's sum, and a side-row dict per child (below);
 the base nodes at n = 1 keep their sums in the same table.  A step cuts
 one offset into its children's offsets (a natural cut takes 16 prefix bits
-at a time through two 64 KiB tables, a cut whose sides are one run of
-blocks each one shift and mask per side, any other cut gathers block by
-block), reduces them, then walks its boxes against the children's dicts,
+at a time through two 64 KiB tables, a group's cut one mask and one
+shift), reduces them, then walks its boxes against the children's dicts,
 each lookup keyed by one int.
 
 The sums take few distinct values: the automorphisms that let one coset
@@ -76,7 +78,6 @@ of an id, so results stay exact whatever the caps.
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .wef import WeightEnumerator
@@ -104,7 +105,8 @@ class _Node:
     ``cut`` maps an offset to the offsets of the two children, the
     sub-groups a step splits it into: ``_split`` for the natural halves,
     else the cut that ``_choose`` built with the plan of its split, after
-    ``_quarters`` for a one-block node.  ``k_v`` and ``k_w`` are the
+    ``_quarters`` for a one-block node; the left child takes the first c
+    blocks and the right one the rest.  ``k_v`` and ``k_w`` are the
     children's bases; ``high`` lists the mixed generators past the first
     _LOW, and ``low`` the boxes those span, box j's (da, db) being
     (low[0][j], low[1][j]).  ``sums`` maps offsets to the handles of their
@@ -124,12 +126,13 @@ class _Node:
         self.left: Optional[_Node] = None
         self.right: Optional[_Node] = None
         if blocks > 1:
-            # a group splits into two sub-groups of its blocks
+            # a group splits into its first c blocks and the rest
             width = length
-            sides, self.cut, plan = _choose(basis, width, blocks)
+            c, self.cut, plan = _choose(basis, width, blocks)
         elif n > 1:
-            n, width = n // 2, (length + 1) // 2
-            sides, self.cut = ((0,), (0,)), _split
+            # the natural split cuts two halves, one block each
+            n, width, blocks, c = n // 2, (length + 1) // 2, 2, 1
+            self.cut = _split
             plan = _plan([_split(v) for v in _free(basis, length, 2 * width)], width, width)
             if len(plan[2]) > _QUARTER:
                 # mixed > _QUARTER needs width > _QUARTER, so n >= 16:
@@ -137,12 +140,12 @@ class _Node:
                 quarter = (width + 1) // 2
                 vectors = [_quarters(v, quarter) for v in _free(basis, length, 4 * quarter)]
                 choice = _choose(vectors, quarter, 4)
-                # the quarters' halves pairing mixes as many dimensions as
-                # the natural split, so only a strictly better one is taken
+                # only a quarter split that mixes strictly fewer dimensions
+                # than the natural one is taken
                 if len(choice[2][2]) < len(plan[2]):
-                    sides, cut, plan = choice
+                    c, cut, plan = choice
                     self.cut = lambda x: cut(_quarters(x, quarter))
-                    n, width = n // 2, quarter
+                    n, width, blocks = n // 2, quarter, 4
         else:
             self.free = bool(_free(basis, length, 1))
             return
@@ -155,8 +158,8 @@ class _Node:
         self.low = tuple(zip(*low))
         self.high = mixed[_LOW:]
         self.rows: tuple[dict[int, tuple[Handle, ...]], ...] = ({}, {})
-        self.left = _node(n, width, self.k_v, cache, len(sides[0]))
-        self.right = _node(n, width, self.k_w, cache, len(sides[1]))
+        self.left = _node(n, width, self.k_v, cache, c)
+        self.right = _node(n, width, self.k_w, cache, blocks - c)
 
 
 class CosetCache:
@@ -293,14 +296,15 @@ def _split(prefix: int) -> tuple[int, int]:
 
 
 def _quarters(prefix: int, width: int) -> int:
-    """The quarter blocks (a1, a2, b1, b2) of a prefix as one tuple of
-    ``width``-bit blocks, a1 lowest: the halves of each half, every odd
-    length's next bit 0."""
+    """The quarter blocks of a prefix as one tuple of ``width``-bit blocks
+    in bit-reversed order (a1, b1, a2, b2), a1 lowest, where (a1, a2) and
+    (b1, b2) are the halves of its halves a and b, every odd length's next
+    bit 0."""
 
     a, b = _split(prefix)
     a1, a2 = _split(a)
     b1, b2 = _split(b)
-    return a1 | (a2 | (b1 | b2 << width) << width) << width
+    return a1 | (b1 | (a2 | b2 << width) << width) << width
 
 
 def _free(basis: Sequence[int], length: int, width: int) -> tuple[int, ...]:
@@ -309,21 +313,6 @@ def _free(basis: Sequence[int], length: int, width: int) -> tuple[int, ...]:
     ``length`` up to ``width``, which those sets leave free."""
 
     return (*basis, *(1 << i for i in range(length, width)))
-
-
-def _cutter(sides: tuple[Sequence[int], Sequence[int]], width: int) -> Cut:
-    """x -> the tuples of the blocks of each side of the ``width``-bit block
-    tuple x, in the sides' order: a single shift and mask per side when
-    each side is one run of adjacent blocks, else a gather block by block."""
-
-    src_v, src_w = (side[0] * width for side in sides)
-    mask_v, mask_w = ((1 << len(side) * width) - 1 for side in sides)
-    if all(side[-1] - side[0] == len(side) - 1 for side in sides):
-        return lambda x: (x >> src_v & mask_v, x >> src_w & mask_w)
-    one = (1 << width) - 1
-    return lambda x: tuple(
-        sum((x >> i * width & one) << j * width for j, i in enumerate(side)) for side in sides
-    )
 
 
 def _rref(vectors: Iterable[int]) -> list[int]:
@@ -363,35 +352,23 @@ def _plan(pairs: Sequence[tuple[int, int]], width_v: int, width_w: int) -> Plan:
     return k_v, k_w, mixed
 
 
-def _choose(
-    vectors: Sequence[int], width: int, count: int
-) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], Cut, Plan]:
-    """The split (S, T) of a group of ``count`` blocks that mixes the fewest
-    dimensions, with its cut and plan; ``vectors`` span the set as tuples
-    of ``width``-bit blocks.  Each split is priced by rank(proj_S) +
-    rank(proj_T) - dim, and only the winner's plan is built."""
+def _choose(vectors: Sequence[int], width: int, count: int) -> tuple[int, Cut, Plan]:
+    """The cut "first c blocks | the rest" of a group of ``count`` blocks
+    that mixes the fewest dimensions, as (c, cut, plan); ``vectors`` span
+    the set as tuples of ``width``-bit blocks.  Each cut is priced by
+    rank(proj_S) + rank(proj_T) - dim, ties go to the most even cut, then
+    to the smaller c, and only the winner's plan is built."""
 
-    one = (1 << width) - 1
+    def price(c: int) -> tuple[int, int]:
+        low = (1 << c * width) - 1
+        ranks = len(_rref(v & low for v in vectors)) + len(_rref(v >> c * width for v in vectors))
+        return ranks, abs(2 * c - count)
 
-    def rank(side: tuple[int, ...]) -> int:
-        keep = sum(one << i * width for i in side)
-        return len(_rref(v & keep for v in vectors))
-
-    blocks = range(count)
-    splits = [
-        (side, tuple(i for i in blocks if i not in side))
-        for size in range(1, count)
-        for side in combinations(blocks, size)
-        if side[0] == 0
-    ]
-    # ties go to 2|2 pairings before 1|3 peels (about 5 % faster on
-    # pac64-direct than peels first), and among the pairings to the halves
-    # (0, 1) | (2, 3), which combinations lists first
-    splits.sort(key=lambda split: abs(len(split[0]) - len(split[1])))
-    sides = min(splits, key=lambda split: rank(split[0]) + rank(split[1]))
-    cut = _cutter(sides, width)
-    plan = _plan([cut(v) for v in vectors], len(sides[0]) * width, len(sides[1]) * width)
-    return sides, cut, plan
+    c = min(range(1, count), key=price)
+    mask, shift = (1 << c * width) - 1, c * width
+    # the offsets have count * width bits, so the rest needs no mask
+    cut: Cut = lambda x: (x & mask, x >> shift)
+    return c, cut, _plan([cut(v) for v in vectors], shift, (count - c) * width)
 
 
 def _step(node: _Node, offset: int, cache: CosetCache) -> Handle:

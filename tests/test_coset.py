@@ -17,10 +17,9 @@ from polarwd import (
     profile,
     wef_direct,
 )
-from polarwd import coset
+from polarwd import coset, engine
 from polarwd.coset import (
     _choose,
-    _cutter,
     _node,
     _plan,
     _quarters,
@@ -203,9 +202,9 @@ def halves_to_prefix(a, b):
 
 
 def quarters_to_prefix(quarters):
-    """The prefix whose quarter blocks (a1, a2, b1, b2) are ``quarters``."""
+    """The prefix whose quarter blocks (a1, b1, a2, b2) are ``quarters``."""
 
-    a1, a2, b1, b2 = quarters
+    a1, b1, a2, b2 = quarters
     return halves_to_prefix(halves_to_prefix(a1, a2), halves_to_prefix(b1, b2))
 
 
@@ -242,22 +241,16 @@ def span(offset, basis):
     return points
 
 
-# every split (S, T) of a group of 2, 3 or 4 blocks with block 0 in S, in the
-# order that ``_choose`` breaks ties in: the halves, the other pairings, the
-# peels
-TIE_ORDER = {
-    2: [((0,), (1,))],
-    3: [((0,), (1, 2)), ((0, 1), (2,)), ((0, 2), (1,))],
-    4: [
-        ((0, 1), (2, 3)),
-        ((0, 2), (1, 3)),
-        ((0, 3), (1, 2)),
-        ((0,), (1, 2, 3)),
-        ((0, 1, 2), (3,)),
-        ((0, 1, 3), (2,)),
-        ((0, 2, 3), (1,)),
-    ],
-}
+# every contiguous cut "first c blocks | the rest" of a group of 2, 3 or 4
+# blocks, by its c, in the order that ``_choose`` breaks ties in: the most
+# even cut first, then the smaller c
+TIE_ORDER = {2: [1], 3: [1, 2], 4: [2, 1, 3]}
+
+
+def sides(c, count):
+    """The block indices (S, T) of the cut after the first c of ``count``."""
+
+    return tuple(range(c)), tuple(range(c, count))
 
 
 def random_block_sets(count):
@@ -294,19 +287,28 @@ def split_plan(vectors, width, split, cut):
     return _plan([cut(v) for v in vectors], len(split[0]) * width, len(split[1]) * width)
 
 
+def gathers_its_sides(cut, vectors, width, split):
+    """Whether ``cut`` maps each vector to the tuples of its blocks on each
+    side of ``split``, in the side's order."""
+
+    one = (1 << width) - 1
+    return all(
+        cut(v)
+        == tuple(
+            sum((v >> i * width & one) << j * width for j, i in enumerate(side)) for side in split
+        )
+        for v in vectors
+    )
+
+
 class TestChoose:
     @pytest.mark.parametrize("count", [2, 3, 4])
     def test_rank_price_counts_the_plans_mixed_generators(self, count):
         for vectors, width in random_block_sets(count):
-            for split in TIE_ORDER[count]:
-                cut = _cutter(split, width)
-                one = (1 << width) - 1
-                for v in vectors:
-                    # each side gathers its blocks, in the side's order
-                    assert cut(v) == tuple(
-                        sum((v >> i * width & one) << j * width for j, i in enumerate(side))
-                        for side in split
-                    )
+            for c in TIE_ORDER[count]:
+                split = sides(c, count)
+                cut = lambda x, c=c: (x & (1 << c * width) - 1, x >> c * width)
+                assert gathers_its_sides(cut, vectors, width, split)
                 plan = split_plan(vectors, width, split, cut)
                 assert mixed_dims(vectors, width, split) == len(plan[2])
 
@@ -314,20 +316,21 @@ class TestChoose:
     def test_first_minimum_in_tie_order(self, count):
         ties = 0
         for vectors, width in random_block_sets(count):
-            prices = [mixed_dims(vectors, width, split) for split in TIE_ORDER[count]]
-            sides, cut, plan = _choose(vectors, width, count)
-            assert sides == TIE_ORDER[count][prices.index(min(prices))]
-            assert plan == split_plan(vectors, width, sides, cut)
+            prices = [mixed_dims(vectors, width, sides(c, count)) for c in TIE_ORDER[count]]
+            c, cut, plan = _choose(vectors, width, count)
+            assert c == TIE_ORDER[count][prices.index(min(prices))]
+            assert gathers_its_sides(cut, vectors, width, sides(c, count))
+            assert plan == split_plan(vectors, width, sides(c, count), cut)
             ties += prices.count(min(prices)) > 1
         assert ties or count == 2
 
     def test_quarter_tie_keeps_natural_split(self):
         # vector i is unit vector i in each of the four 8-bit quarter blocks:
-        # every split of the quarters mixes all 8 dimensions, as many as the
+        # every cut of the quarters mixes all 8 dimensions, as many as the
         # natural split, which is kept
         basis = tuple(_rref(quarters_to_prefix([1 << i] * 4) for i in range(8)))
-        sides, _, plan = _choose([_quarters(v, 8) for v in basis], 8, 4)
-        assert sides == TIE_ORDER[4][0] and len(plan[2]) == 8
+        c, _, plan = _choose([_quarters(v, 8) for v in basis], 8, 4)
+        assert c == TIE_ORDER[4][0] and len(plan[2]) == 8
         node = _node(32, 32, basis, CosetCache())
         assert node.cut is _split
         assert len(node.low[0]) << len(node.high) == 1 << 8
@@ -355,10 +358,11 @@ class TestAffineSum:
     def test_random_multi_block_sets(self):
         # seeded random sets at lengths n - 3 to n (odd and even, with halves
         # of odd and even length) and dims up to 12; half of them are spanned
-        # by vectors that couple only some quarter blocks, which the natural
-        # split mixes and a pairing or a peel does not
+        # by vectors that couple only some quarter blocks (a1, b1, a2, b2),
+        # which the natural split mixes: the pairings (a1, b1) | (a2, b2)
+        # and (a1, b2) | (b1, a2), and the peels of a2 and of b2
         rng = random.Random(19)
-        shapes = [((0, 2), (1, 3)), ((0, 3), (1, 2)), ((1,), (0, 2, 3)), ((0, 1, 2), (3,))]
+        shapes = [((0, 1), (2, 3)), ((0, 3), (1, 2)), ((2,), (0, 1, 3)), ((0, 1, 2), (3,))]
         groups = set()
         singles = CosetCache()
         for n in (16, 32, 64):
@@ -398,6 +402,23 @@ class TestAffineSum:
         assert node.cut is not _split
         assert len(node.low[0]) << len(node.high) == 1 << 8
         assert any(key[3] > 1 for key in cache.nodes)
+
+    def test_plan_sizes_pinned(self, polar128_spec):
+        # the plans of every set of a route, built without evaluating one:
+        # the node count and the boxes of the split nodes' steps guard the
+        # split rule against a change that makes the recursion larger
+        def size(spec, sets):
+            prof = profile(spec)
+            cache = CosetCache()
+            for _, basis, _ in sets(spec, prof):
+                _node(spec.n, prof.s + 1, tuple(_rref(basis)), cache)
+            split = [node for node in cache.nodes.values() if node.left is not None]
+            return len(cache.nodes), sum(len(node.low[0]) << len(node.high) for node in split)
+
+        lta = lambda spec, prof: engine._lta_route(spec, prof)[1]
+        assert size(polar128_spec, lta) == (79, 6515)
+        bec = [from_bhattacharyya_bec(8, k, 0.5) for k in (128, 192)]
+        assert [size(spec, engine._direct_sets) for spec in bec] == [(9, 16924), (9, 16935)]
 
     def test_matches_oracle(self):
         for offset, basis in [(0b0110, [0b0011, 0b1000]), (0b101, [0b110]), (1, [])]:

@@ -404,6 +404,18 @@ class TestRouteEquivalence:
         assert lta.eval_at_one() == 1 << 64 and lta.coeffs[0] == 1
         assert macwilliams(lta, spec.n, 64).eval_at_one() == 1 << spec.n - 64
 
+    def test_direct_bec_8_128_at_n256(self):
+        # no other route finishes quickly here (lta has 1.2e17 predicted
+        # cosets and a far larger plan), so the internal checks stand
+        # alone: 2^128 words, A_0 = 1, macwilliams finds a linear code's
+        # enumerator; the lifted budget admits direct's 5.9e20 cosets
+        spec = from_bhattacharyya_bec(8, 128, 0.5)
+        direct = wef_direct(spec, budget=1 << 256)
+        assert direct.eval_at_one() == 1 << 128 and direct.coeffs[0] == 1
+        d_min = next(w for w, count in enumerate(direct.coeffs) if w and count)
+        assert (d_min, direct.coeffs[d_min]) == (8, 352)
+        assert macwilliams(direct, spec.n, 128).eval_at_one() == 1 << 128
+
     def test_direct_and_dual_direct_agree_at_n256(self):
         # the direct route on bec(8,192) and on its dual (k = 64), mapped
         # back by macwilliams, check each other; the lifted budget admits

@@ -32,6 +32,15 @@ def test_128_64_dry_run_prints_coset_counts():
     assert "reduced: 60752896 cosets" in proc.stderr
 
 
+def test_128_64_unwritable_out_fails_before_the_run(tmp_path):
+    proc = run_script("run_128_64_distribution.py", "--out", str(tmp_path / "no" / "wd.json"))
+    assert (proc.returncode, proc.stdout) == (1, "")
+    # one line, before the coset counts and the run
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("error: cannot write output file")
+    assert "cosets in" not in proc.stderr and "Traceback" not in proc.stderr
+
+
 @pytest.mark.full128
 def test_128_64_full_run_writes_the_distribution(tmp_path):
     out = tmp_path / "wd.json"
