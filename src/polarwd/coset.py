@@ -47,33 +47,47 @@ that code, 24 dimensions natural, sums through a pairing of 8.
 The split of a set depends on (n, length, basis, blocks) only, not on its
 offset, with blocks = 1 for a single block.  So the cache holds one node
 per such tuple, keyed by it: its split plan (the children's bases K_v, K_w
-and the mixed generators), its two child nodes, a dict from reduced offset
-to the handle of that set's sum, and a side-row dict per child (below);
-the base nodes at n = 1 keep their sums in the same table.  A step cuts
-one offset into its children's offsets (a natural cut takes 16 prefix bits
-at a time through two 64 KiB tables, a group's cut one mask and one
-shift), reduces them, then walks its boxes against the children's dicts,
-each lookup keyed by one int.
+and the mixed generators), its two child nodes and its memo dicts (below).
+A step cuts one offset into its children's offsets (a natural cut takes 16
+prefix bits at a time through two 64 KiB tables, a group's cut one mask
+and one shift), reduces them, then walks its boxes against the children's
+sums, each keyed by one int.
 
 The sums take few distinct values: the automorphisms that let one coset
 stand for a whole orbit act at every level too, so many sets share one
-enumerator (on a PAC(64) code, 33,940 memoised sets have 27 distinct sums).
-So the recursion is hash-consed.  The cache stores each distinct sum once
-and hands out a small-int id for it.  A step walks its boxes in blocks of
-at most 2^_LOW, the boxes (a ^ da, b ^ db) of one block offset (a, b).
-The block's left handles, at a ^ da for each of its da, depend on a alone
-and its right ones on b alone, so each node memoises each side's row of
-handles by that side's offset, and a block whose a (or b) was seen before
-looks up no box on that side.  Every block then follows one rule: its two
-rows, concatenated (x0, x1, ..., y0, y1, ...), fix the multiset of its
-(left, right) pairs and so its sum on any node, so that key is looked up
-next and a repeat costs one lookup.  Only a key that misses counts its
-distinct pairs; the count (a "mix") is memoised to the id of its sum, and
-a new mix multiplies each distinct pair once and adds count x product.  A
-step of one block returns that block's sum; a step of more blocks adds its
-block sums through the same memo, keyed by how often each block sum
-occurs.  A value that finds the value table full stands for itself instead
-of an id, so results stay exact whatever the caps.
+enumerator (on a PAC(64) code, the 9,367 sets the recursion evaluates have
+57 distinct sums).  So the recursion is hash-consed.  The cache stores each
+distinct sum once and hands out a small-int id for it.  A step walks its
+boxes in blocks of at most 2^_LOW, the boxes (a ^ da, b ^ db) of one block
+offset (a, b).  The block's left handles, at a ^ da for each of its da,
+depend on a alone and its right ones on b alone, so each node memoises
+each side's row of handles by that side's offset, and a block whose a (or
+b) was seen before evaluates no box on that side.  Every block then
+follows one rule: its two rows, concatenated (x0, x1, ..., y0, y1, ...),
+fix the multiset of its (left, right) pairs and so its sum on any node, so
+that key is looked up next and a repeat costs one lookup.  Only a key that
+misses counts its distinct pairs; the count (a "mix") is memoised to the
+id of its sum, and a new mix multiplies each distinct pair once and adds
+count x product.  A step of one block returns that block's sum; a step of
+more blocks multiplies a pair shared by several of its blocks once, and
+adds its block sums through the same memo, keyed by how often each block
+sum occurs.  A value that finds the value table full stands for itself
+instead of an id, so results stay exact whatever the caps.
+
+A row's handles come from one of two memos, by one rule: a node keeps a
+sum table, reduced offset -> handle, only once it is shared, that is once
+``_node`` returns it a second time (to a second parent, to both sides of
+one parent, or as the top of ``affine_sum``).  The base nodes at n = 1
+follow the same rule.  A node that a single parent side asks for is
+memoised by that side's rows alone, and rows of one side overlap exactly
+when their offsets differ by an element of the span D of its low deltas
+(da or db, dimension at most _LOW).  So the side evaluates the first row
+of each coset of D among its offsets, keeps it in the child's coset memo,
+and reads every later row of that coset off it by permuting its boxes.  A
+node that a later top's plan shares moves the sets of its coset memo into
+its new sum table, so no set is evaluated twice under either memo.  On the
+direct route of that PAC(64) code, 5 of the 8 nodes are shared, and they
+keep 3,222 sums.
 """
 
 from __future__ import annotations
@@ -92,15 +106,24 @@ Handle = Union[int, WeightEnumerator]
 Cut = Callable[[int], tuple[int, int]]
 Plan = tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, int], ...]]
 
+# The coset memo of a node that one parent side asks for (``_row``): that
+# side's low deltas, the mask of their pivot bits, the table from an
+# offset's pivot bits to (delta, box index), and the memo from a coset's
+# representative to (its first row, that row's box index).
+Row = tuple[Handle, ...]
+Cosets = tuple[
+    tuple[int, ...], int, dict[int, tuple[int, int]], dict[int, tuple[Row, int]]
+]
+
 
 class _Node:
     """The affine sets offset + span(basis) of a group of ``blocks`` blocks,
     each a ``length``-bit prefix at block length n, for every offset.  Block
     i holds bits [i * length, (i + 1) * length) of a tuple; the basis is in
-    reduced row echelon form and each offset in ``sums`` is reduced by it,
-    so every stored set has exactly one (node, offset).  A one-block node
-    splits the sets with the bits they leave free below the split's width
-    added to the basis (``_free``); the blocks of a group have none free.
+    reduced row echelon form and its parents key the node's sets by offsets
+    reduced by it.  A one-block node splits the sets with the bits they
+    leave free below the split's width added to the basis (``_free``); the
+    blocks of a group have none free.
 
     ``cut`` maps an offset to the offsets of the two children, the
     sub-groups a step splits it into: ``_split`` for the natural halves,
@@ -109,20 +132,28 @@ class _Node:
     blocks and the right one the rest.  ``k_v`` and ``k_w`` are the
     children's bases; ``high`` lists the mixed generators past the first
     _LOW, and ``low`` the boxes those span, box j's (da, db) being
-    (low[0][j], low[1][j]).  ``sums`` maps offsets to the handles of their
-    sums, and ``rows[0]`` (``rows[1]``) maps a reduced left (right) child
-    offset to the row of that child's handles at it xor each of ``low[0]``
-    (``low[1]``).  A node with ``left`` None is the n = 1 base case, whose
-    sums are stored like any other node's; ``free`` says whether its one
-    bit runs free.
+    (low[0][j], low[1][j]).  ``rows[0]`` (``rows[1]``) maps a reduced left
+    (right) child offset to the row of that child's handles at it xor each
+    of ``low[0]`` (``low[1]``).  ``shared`` says whether ``_node`` has
+    returned the node more than once; only then does ``sums`` map offsets
+    to the handles of their sums, and until then it stays empty.  Until
+    then the first row its one parent side asks for makes ``cosets``, the
+    coset memo of that side's rows of this node (``_row``).  A node with
+    ``left`` None is the n = 1 base case, whose sums follow the same rule;
+    ``free`` says whether its one bit runs free.
     """
 
-    __slots__ = ("sums", "rows", "free", "cut", "k_v", "k_w", "low", "high", "left", "right")
+    __slots__ = (
+        "shared", "sums", "rows", "cosets", "free", "cut", "k_v", "k_w", "low", "high", "left",
+        "right",
+    )
 
     def __init__(
         self, n: int, length: int, basis: tuple[int, ...], blocks: int, cache: CosetCache
     ):
+        self.shared = False
         self.sums: dict[int, Handle] = {}
+        self.cosets: Optional[Cosets] = None
         self.left: Optional[_Node] = None
         self.right: Optional[_Node] = None
         if blocks > 1:
@@ -157,7 +188,7 @@ class _Node:
             low += [(x ^ da, y ^ db) for x, y in low]
         self.low = tuple(zip(*low))
         self.high = mixed[_LOW:]
-        self.rows: tuple[dict[int, tuple[Handle, ...]], ...] = ({}, {})
+        self.rows: tuple[dict[int, Row], ...] = ({}, {})
         self.left = _node(n, width, self.k_v, cache, c)
         self.right = _node(n, width, self.k_w, cache, blocks - c)
 
@@ -167,13 +198,15 @@ class CosetCache:
     here and none at module level.
 
     - ``nodes``: (n, length, basis, blocks) -> the node of those sets;
-    - the sum table (``get``/``put``): each node's ``sums``, the n = 1 base
-      nodes' included, reduced offset -> handle of the set's sum; ``len``
-      counts its entries over all nodes;
+    - the sum table (``get``/``put``): each shared node's ``sums``, the
+      n = 1 base nodes' included, reduced offset -> handle of the set's
+      sum; a node that one parent side alone asks for has none, and
+      ``len`` counts the entries over all nodes;
     - the value table: each distinct sum polynomial once, ``values[id]``;
-    - the row table (``put_row``): each node's two side-row dicts, a
-      reduced child offset -> that child's handles at it xor each of the
-      side's low deltas;
+    - the row table (``put_row``, ``put_coset``): each node's two side-row
+      dicts, a reduced child offset -> that child's handles at it xor each
+      of the side's low deltas, and each unshared node's coset memo, a
+      coset representative -> the first row its parent side asked for;
     - ``steps``: a block's left row then its right row, x0, x1, ..., y0,
       y1, ... -> handle of the block's sum;
     - ``mixes``: a block's distinct (left, right) pairs with their box
@@ -181,7 +214,8 @@ class CosetCache:
       -> handle of the sum.
 
     ``max_entries`` caps each of the six tables; the sum and row tables
-    are capped as a whole.  Each table stops growing silently at the cap
+    are capped as a whole, and a coset memo that moves into a sum table
+    keeps its count.  Each table stops growing silently at the cap
     and entries are never mutated after insertion.  A node is stored after
     its children, so a stored node only refers to stored nodes.  A value
     refused by the full value table goes on as its own handle (an
@@ -204,17 +238,26 @@ class CosetCache:
         return node.sums.get(offset)
 
     def put(self, node: _Node, offset: int, value: Handle) -> None:
-        """Store the sum of a set that ``get`` just missed."""
+        """Store the sum of a set that the table does not hold."""
 
         if self._sums < self.max_entries:
             node.sums[offset] = value
             self._sums += 1
 
-    def put_row(self, node: _Node, side: int, offset: int, row: tuple[Handle, ...]) -> None:
+    def put_row(self, node: _Node, side: int, offset: int, row: Row) -> None:
         """Store a side row that ``node.rows[side]`` just missed."""
 
         if self._rows < self.max_entries:
             node.rows[side][offset] = row
+            self._rows += 1
+
+    def put_coset(
+        self, memo: dict[int, tuple[Row, int]], rep: int, first: tuple[Row, int]
+    ) -> None:
+        """Store the first row of a side's coset that its memo just missed."""
+
+        if self._rows < self.max_entries:
+            memo[rep] = first
             self._rows += 1
 
     def intern(self, value: WeightEnumerator) -> Handle:
@@ -249,6 +292,16 @@ def _node(
         node = _Node(n, length, basis, blocks, cache)
         if len(cache.nodes) < cache.max_entries:
             cache.nodes[key] = node
+    elif not node.shared:
+        # a second asker: from now on the node's sums go through the sum
+        # table, which starts with the sets its one parent side evaluated
+        node.shared = True
+        if node.cosets is not None:
+            low, _, _, memo = node.cosets
+            node.cosets = None
+            for rep, (row, k) in memo.items():
+                for j, handle in enumerate(row):
+                    cache.put(node, rep ^ low[j ^ k], handle)
     return node
 
 
@@ -392,6 +445,9 @@ def _step(node: _Node, offset: int, cache: CosetCache) -> Handle:
     rows_v, rows_w = node.rows
     steps = cache.steps
     blocks: list[Handle] = []
+    # a (left, right) pair that recurs in several blocks of the step is
+    # multiplied once
+    products: Optional[dict[tuple[Handle, Handle], WeightEnumerator]] = {} if high else None
     # the boxes in blocks of ``low``, each block moved from the last by one
     # ``high`` generator (Gray code)
     while True:
@@ -407,7 +463,7 @@ def _step(node: _Node, offset: int, cache: CosetCache) -> Handle:
         key = row_v + row_w
         block = steps.get(key)
         if block is None:
-            block = _mix(zip(row_v, row_w), cache)
+            block = _mix(zip(row_v, row_w), cache, products)
             if len(steps) < cache.max_entries:
                 steps[key] = block
         if not high:
@@ -421,32 +477,75 @@ def _step(node: _Node, offset: int, cache: CosetCache) -> Handle:
         b ^= db
 
 
-def _row(node: _Node, side: int, offset: int, cache: CosetCache) -> tuple[Handle, ...]:
+def _row(node: _Node, side: int, offset: int, cache: CosetCache) -> Row:
     """The row of ``node``'s child on ``side`` (0: left, 1: right) at its
     reduced ``offset``: the handles of the child's sums at the offset xor
-    each of the side's low deltas, each from the sum table or, on a miss,
-    by a recursion step.  Stored in ``node.rows[side]`` while there is
-    room."""
+    each of the side's low deltas.  Stored in ``node.rows[side]`` while
+    there is room.
+
+    A shared child's sums come from the sum table or, on a miss, from a
+    recursion step.  A child that only this side asks keeps no sum table:
+    two of its rows overlap exactly when their offsets differ by an element
+    of the span D of the low deltas, and then they hold the same handles in
+    another order.  So the offset is reduced to its coset representative r
+    modulo D, the first row of each coset is evaluated, and every later row
+    at r ^ low[k] is read off the first, at r ^ low[k0], as j -> j ^ k0 ^ k.
+    """
 
     child = node.right if side else node.left
-    get, put = cache.get, cache.put
-    row: list[Handle] = []
-    for d in node.low[side]:
-        d ^= offset
-        x = get(child, d)
-        if x is None:
-            x = _step(child, d, cache)
-            put(child, d, x)
-        row.append(x)
-    result = tuple(row)
+    low = node.low[side]
+    if child.shared:
+        get, put = cache.get, cache.put
+        row: list[Handle] = []
+        for d in low:
+            d ^= offset
+            x = get(child, d)
+            if x is None:
+                x = _step(child, d, cache)
+                put(child, d, x)
+            row.append(x)
+        result = tuple(row)
+    else:
+        cosets = child.cosets
+        if cosets is None:
+            cosets = child.cosets = _cosets(low)
+        _, mask, reduce, memo = cosets
+        delta, k = reduce[offset & mask]
+        rep = offset ^ delta
+        first = memo.get(rep)
+        if first is None:
+            result = tuple([_step(child, d ^ offset, cache) for d in low])
+            cache.put_coset(memo, rep, (result, k))
+        else:
+            row_0, k0 = first
+            k ^= k0
+            result = tuple([row_0[j ^ k] for j in range(len(row_0))])
     cache.put_row(node, side, offset, result)
     return result
 
 
-def _mix(items: Iterable[Union[Handle, tuple[Handle, Handle]]], cache: CosetCache) -> Handle:
+def _cosets(low: Sequence[int]) -> Cosets:
+    """An empty coset memo for a side whose low deltas are ``low``, box j's
+    delta ``low[j]``: they span D, and in its reduced basis each element is
+    the xor of the rows whose pivot bits it has, so an offset's pivot bits
+    pick the element of D that takes it to its coset representative."""
+
+    # low[1 << i] is the side of mixed generator i
+    mask = 0
+    for r in _rref(low[1 << i] for i in range(len(low).bit_length() - 1)):
+        mask |= 1 << r.bit_length() - 1
+    return low, mask, {d & mask: (d, j) for j, d in enumerate(low)}, {}
+
+
+def _mix(
+    items: Iterable[Union[Handle, tuple[Handle, Handle]]],
+    cache: CosetCache,
+    products: Optional[dict[tuple[Handle, Handle], WeightEnumerator]] = None,
+) -> Handle:
     """The sum of ``items``, memoised in ``mixes`` by their multiset: an
     item is a (left, right) pair of handles, which stands for their
-    product, or a block's handle."""
+    product, or a block's handle.  ``products``, when given, keeps the
+    products of pairs across the calls that share it."""
 
     counts: dict[Union[Handle, tuple[Handle, Handle]], int] = {}
     for item in items:
@@ -459,7 +558,14 @@ def _mix(items: Iterable[Union[Handle, tuple[Handle, Handle]]], cache: CosetCach
         # one term per distinct item, times the boxes or blocks that have it
         value, acc = cache.value, None
         for item, count in counts.items():
-            term = value(item[0]) * value(item[1]) if type(item) is tuple else value(item)
+            if type(item) is not tuple:
+                term = value(item)
+            elif products is None:
+                term = value(item[0]) * value(item[1])
+            else:
+                term = products.get(item)
+                if term is None:
+                    term = products[item] = value(item[0]) * value(item[1])
             if count > 1:
                 term = term.scale(count)
             acc = term if acc is None else acc + term

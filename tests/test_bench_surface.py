@@ -78,10 +78,12 @@ def test_recursion_reaches_traced_callables(monkeypatch):
 def test_traced_cache_counts_pinned(monkeypatch):
     # the tracer counts the recursion's lookups and stores by wrapping these
     # two methods by name.  PAC(32,16)'s direct set, split into its quarter
-    # blocks, takes 1,084 lookups (one per entry of each side row a node
-    # stores, the rows at n = 2 over base nodes included: a repeated row
-    # looks up nothing) and 214 stores (one per distinct set); a lookup or
-    # store that bypasses the methods changes these counts
+    # blocks, takes 956 lookups (one per entry of each side row a node
+    # stores whose child on that side is shared, the rows at n = 2 over base
+    # nodes included: a repeated row looks up nothing, and a child asked by
+    # one side only keeps no sum table) and 86 stores (one per distinct set
+    # of a shared node); a lookup or store that bypasses the methods changes
+    # these counts
     calls = {"get": 0, "put": 0}
     for name in calls:
         method = getattr(CosetCache, name)
@@ -94,13 +96,14 @@ def test_traced_cache_counts_pinned(monkeypatch):
     pac32 = pac_spec(5, from_rm(2, 5).unfrozen, [1, 0, 1, 1, 0, 1, 1])
     cache = CosetCache()
     wef_direct(pac32, cache=cache)
-    assert calls == {"get": 1084, "put": 214}
-    assert len(cache) == 214
+    assert calls == {"get": 956, "put": 86}
+    assert len(cache) == 86
     rows = [
         row
         for node in cache.nodes.values()
         if node.left is not None
-        for side in node.rows
+        for side, child in zip(node.rows, (node.left, node.right))
+        if child.shared
         for row in side.values()
     ]
     assert calls["get"] == sum(map(len, rows))

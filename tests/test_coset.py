@@ -16,6 +16,7 @@ from polarwd import (
     pac_spec,
     profile,
     wef_direct,
+    wef_lta,
 )
 from polarwd import coset, engine
 from polarwd.coset import (
@@ -420,6 +421,53 @@ class TestAffineSum:
         bec = [from_bhattacharyya_bec(8, k, 0.5) for k in (128, 192)]
         assert [size(spec, engine._direct_sets) for spec in bec] == [(9, 16924), (9, 16935)]
 
+    @pytest.mark.parametrize(
+        "code, route, steps",
+        [
+            ("PAC(32,16)", wef_direct, 215),
+            ("PAC(64,32)", wef_direct, 1879),
+            ("bec(7,107)", wef_direct, 1119),
+            ("bec(7,107)", wef_lta, 4585),
+            ("bec(7,48)", wef_lta, 4116),
+            # a later orbit's plan shares a node that an earlier one
+            # evaluated through one parent side
+            ("bec(7,26)", wef_lta, 431),
+            ("PAC(128,100)", wef_direct, 11839),
+        ],
+    )
+    def test_step_calls_pinned(self, monkeypatch, code, route, steps):
+        # each set the recursion reaches is evaluated once, shared or not: a
+        # child that only one side asks keeps no sum table, and that side
+        # evaluates one row per coset of its low deltas' span and permutes
+        # it for the coset's other rows; a side that evaluated each of its
+        # rows, or a node shared late that forgot the sets evaluated before,
+        # would call _step more often
+        taps = [1, 0, 1, 1, 0, 1, 1]
+        spec = {
+            "PAC(32,16)": lambda: PAC32,
+            "PAC(64,32)": lambda: pac_spec(6, from_bhattacharyya_bec(6, 32, 0.5).unfrozen, taps),
+            "bec(7,107)": lambda: from_bhattacharyya_bec(7, 107, 0.5),
+            "bec(7,48)": lambda: from_bhattacharyya_bec(7, 48, 0.5),
+            "bec(7,26)": lambda: from_bhattacharyya_bec(7, 26, 0.7),
+            "PAC(128,100)": lambda: pac_spec(
+                7, from_bhattacharyya_bec(7, 100, 0.5).unfrozen, taps
+            ),
+        }[code]()
+        lifted = 1 << 128
+        expected = route(spec, budget=lifted)
+        calls = []
+        step = coset._step
+
+        def counted(node, offset, cache):
+            calls.append(node)
+            return step(node, offset, cache)
+
+        monkeypatch.setattr(coset, "_step", counted)
+        cache = CosetCache()
+        assert route(spec, budget=lifted, cache=cache) == expected
+        assert len(calls) == steps
+        assert all(node.shared or not node.sums for node in cache.nodes.values())
+
     def test_matches_oracle(self):
         for offset, basis in [(0b0110, [0b0011, 0b1000]), (0b101, [0b110]), (1, [])]:
             expected = WeightEnumerator.zero()
@@ -497,8 +545,8 @@ class TestAffineSum:
                 cache = CosetCache(max_entries=cap)
                 assert total(cache=cache) == expected
                 nodes = list(cache.nodes.values())
-                # sums and side rows stay within the cap over every node
-                # made, stored or not
+                # sums and side rows, coset memos included, stay within the
+                # cap over every node made, stored or not
                 sums = sum(len(node.sums) for node in made.values())
                 assert sums == len(cache)
                 rows = sum(
@@ -507,6 +555,7 @@ class TestAffineSum:
                     if node.left is not None
                     for side in node.rows
                 )
+                rows += sum(len(node.cosets[3]) for node in made.values() if node.cosets)
                 tables = (nodes, cache.values, cache.mixes, cache.steps)
                 assert sums <= cap and rows <= cap
                 assert all(len(table) <= cap for table in tables)
@@ -523,7 +572,7 @@ class TestAffineSum:
 
     def test_repeated_side_row_skips_its_lookups(self, monkeypatch):
         # two sets of one node whose left offsets agree and right offsets
-        # differ: the second finds its left row stored and looks up no sum
+        # differ: the second finds its left row stored and evaluates no sum
         # of the left child
         basis = (0b10, 0b1000, 0b10000)  # halves (1, 1), (2, 2) and (4, 0)
         offsets = [halves_to_prefix(0b1001, b) for b in (0, 0b1000)]
@@ -531,24 +580,24 @@ class TestAffineSum:
             sum((coset_wef(16, 8, p) for p in span(offset, basis)), WeightEnumerator.zero())
             for offset in offsets
         ]
-        looked_up = []
-        get = CosetCache.get
+        stepped = []
+        step = coset._step
 
-        def counted(cache, node, offset):
-            looked_up.append(node)
-            return get(cache, node, offset)
+        def counted(node, offset, cache):
+            stepped.append(node)
+            return step(node, offset, cache)
 
-        monkeypatch.setattr(CosetCache, "get", counted)
+        monkeypatch.setattr(coset, "_step", counted)
         cache = CosetCache()
         top = _node(16, 8, tuple(_rref(basis)), cache)
         # (4, 0) spans the left child's basis, and a left row holds 4 boxes
         assert top.left is not top.right and len(top.low[0]) == 4
-        gets = []
+        steps = []
         for offset, value in zip(offsets, expected):
-            looked_up.clear()
+            stepped.clear()
             assert affine_sum(16, 8, offset, basis, cache) == value
-            gets.append((looked_up.count(top.left), looked_up.count(top.right)))
-        (first_v, first_w), (second_v, second_w) = gets
+            steps.append((stepped.count(top.left), stepped.count(top.right)))
+        (first_v, first_w), (second_v, second_w) = steps
         assert first_v and first_w and second_w
         assert second_v == 0
 
@@ -704,10 +753,10 @@ class TestHashConsing:
         pairs = []  # per call of the memo helper, whether it got pairs
         mix = coset._mix
 
-        def counted(items, memo):
+        def counted(items, *args):
             items = list(items)
             pairs.append(type(items[0]) is tuple)
-            return mix(items, memo)
+            return mix(items, *args)
 
         monkeypatch.setattr(coset, "_mix", counted)
         assert affine_sum(16, 16, offset, basis, cache) == expected
@@ -718,6 +767,24 @@ class TestHashConsing:
         assert (cache.steps.hits - hits, cache.steps.misses - misses) == (blocks, 0)
         # one call, for the blocks, which hits ``mixes``
         assert pairs[calls:] == [False] and len(cache.mixes) == mixes
+
+    def test_blocks_of_one_step_share_their_products(self, monkeypatch):
+        # the blocks of one step pass one product dict: a (left, right) pair
+        # that recurs in a later block of the step is not multiplied again
+        cache = CosetCache()
+        x, y, z = (WeightEnumerator(c) for c in ([0, 1], [1, 1], [1, 0, 2]))
+        a, b, c = map(cache.intern, (x, y, z))
+        products = []
+        mul = WeightEnumerator.__mul__
+        monkeypatch.setattr(
+            WeightEnumerator, "__mul__", lambda p, q: products.append((p, q)) or mul(p, q)
+        )
+        shared = {}
+        first = coset._mix([(a, b), (a, c)], cache, shared)
+        assert cache.value(first) == mul(x, y) + mul(x, z)
+        second = coset._mix([(a, b), (b, c), (a, b)], cache, shared)
+        assert cache.value(second) == mul(x, y).scale(2) + mul(y, z)
+        assert products == [(x, y), (x, z), (y, z)]
 
     def test_repeated_mix_costs_no_arithmetic(self, monkeypatch):
         # the top-level step of a repeated set counts the same pairs again
