@@ -17,7 +17,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .coset import _rref
-from .monomials import Monomial, is_decreasing
+from .monomials import Monomial, _generators_present, is_decreasing
 from .transform import MATRIX_GUARD_M, generator_matrix
 
 # spec_from_json refuses larger m: the statuses alone would take 2^m objects.
@@ -65,8 +65,9 @@ class CodeSpec:
     """An immutable length-2^m code: per-index freeze status plus a label.
 
     Its frozen and unfrozen indices, its profile, whether it is plain,
-    whether its unfrozen set is decreasing, and its dual are worked out
-    once per instance: route selection and the routes themselves all ask.
+    whether its unfrozen set is decreasing, its orbit split and its dual
+    are worked out once per instance: route selection and the routes
+    themselves all ask.
     """
 
     m: int
@@ -109,6 +110,37 @@ class CodeSpec:
         return Profile(s, red, len(red))
 
     @cached_property
+    def _orbits(self) -> tuple[tuple[int, tuple[int, ...], int], ...]:
+        """The reduced route's orbit split (``engine._lta_route``): (f, free
+        rows, |S|) per peeled red row f.
+
+        Red rows are peeled in index order.  With the rows peeled before f
+        frozen to 0 and f frozen to 1, the red rows below f that are
+        single-shift related to f form S: one coset with S frozen to 0
+        stands for 2^{|S|} of them.  The other rows below f stay free.
+        Every peeled row lies below the last frozen index, so that index
+        never moves and one pass over the red rows suffices.
+        """
+
+        red = self._profile.red
+        orbits = []
+        for pos, f in enumerate(red):
+            below = red[pos + 1 :]
+            # row i's monomial (the complement of i) is a single shift of
+            # f's exactly when d = i ^ f is one bit that f lacks (a
+            # deletion), or one that f lacks above one that f has (a
+            # lowering): d's bits below its top one, ``low``, are at most
+            # one bit, and f & d == low
+            free = []
+            for i in below:
+                d = i ^ f
+                low = d ^ 1 << d.bit_length() - 1
+                if low & low - 1 or f & d != low:
+                    free.append(i)
+            orbits.append((f, tuple(free), len(below) - len(free)))
+        return tuple(orbits)
+
+    @cached_property
     def is_plain(self) -> bool:
         return all(st is None or st.is_plain for st in self.statuses)
 
@@ -120,8 +152,12 @@ class CodeSpec:
 
     @cached_property
     def _decreasing(self) -> bool:
-        ok, _ = is_decreasing(self.unfrozen_monomials())
-        return ok
+        # deletions and adjacent lowerings generate the order, so the
+        # unfrozen monomials' masks decide it; ``is_decreasing`` builds
+        # monomials only where a witness is wanted
+        full = self.n - 1
+        present = {full ^ i for i in self.unfrozen}
+        return all(_generators_present(g, present) for g in present)
 
     @cached_property
     def _dual(self) -> "CodeSpec":

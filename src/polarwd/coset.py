@@ -84,10 +84,16 @@ when their offsets differ by an element of the span D of its low deltas
 (da or db, dimension at most _LOW).  So the side evaluates the first row
 of each coset of D among its offsets, keeps it in the child's coset memo,
 and reads every later row of that coset off it by permuting its boxes.  A
-node that a later top's plan shares moves the sets of its coset memo into
-its new sum table, so no set is evaluated twice under either memo.  On the
-direct route of that PAC(64) code, 5 of the 8 nodes are shared, and they
-keep 3,222 sums.
+first row is one loop: a node's cut and the reduction of its children's
+offsets by K_v and K_w are linear, so the set at offset ^ d has the
+reduced cut of the offset xor that of d.  The child keeps the reduced cut
+of each of the side's deltas with its coset memo, and each set of the row
+costs one xor per side; a child whose steps have several blocks, or an
+n = 1 base node, takes one recursion step per set instead.  A node that a
+later top's plan shares drops those cuts and moves the sets of its coset
+memo into its new sum table, so no set is evaluated twice under either
+memo.  On the direct route of that PAC(64) code, 5 of the 8 nodes are
+shared, and they keep 3,222 sums.
 """
 
 from __future__ import annotations
@@ -108,11 +114,14 @@ Plan = tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, int], ...]]
 
 # The coset memo of a node that one parent side asks for (``_row``): that
 # side's low deltas, the mask of their pivot bits, the table from an
-# offset's pivot bits to (delta, box index), and the memo from a coset's
-# representative to (its first row, that row's box index).
+# offset's pivot bits to (delta, box index), the memo from a coset's
+# representative to (its first row, that row's box index), and the node's
+# reduced cut of each delta (``_first_row``), None for a node whose steps
+# have several blocks or that is an n = 1 base node.
 Row = tuple[Handle, ...]
 Cosets = tuple[
-    tuple[int, ...], int, dict[int, tuple[int, int]], dict[int, tuple[Row, int]]
+    tuple[int, ...], int, dict[int, tuple[int, int]], dict[int, tuple[Row, int]],
+    Optional[tuple[tuple[int, int], ...]],
 ]
 
 
@@ -138,9 +147,10 @@ class _Node:
     returned the node more than once; only then does ``sums`` map offsets
     to the handles of their sums, and until then it stays empty.  Until
     then the first row its one parent side asks for makes ``cosets``, the
-    coset memo of that side's rows of this node (``_row``).  A node with
-    ``left`` None is the n = 1 base case, whose sums follow the same rule;
-    ``free`` says whether its one bit runs free.
+    coset memo of that side's rows of this node with the node's reduced
+    cut of each of the side's deltas (``_row``).  A node with ``left``
+    None is the n = 1 base case, whose sums follow the same rule; ``free``
+    says whether its one bit runs free.
     """
 
     __slots__ = (
@@ -297,7 +307,7 @@ def _node(
         # table, which starts with the sets its one parent side evaluated
         node.shared = True
         if node.cosets is not None:
-            low, _, _, memo = node.cosets
+            low, _, _, memo, _ = node.cosets
             node.cosets = None
             for rep, (row, k) in memo.items():
                 for j, handle in enumerate(row):
@@ -424,6 +434,21 @@ def _choose(vectors: Sequence[int], width: int, count: int) -> tuple[int, Cut, P
     return c, cut, _plan([cut(v) for v in vectors], shift, (count - c) * width)
 
 
+def _cut(node: _Node, offset: int) -> tuple[int, int]:
+    """The offsets of ``node``'s two children at one of its offsets, with
+    the pivot bits of K_v and K_w cleared: the children's sums are keyed by
+    reduced offsets.  The cut and both reductions are linear over GF(2)."""
+
+    a, b = node.cut(offset)
+    for r in node.k_v:
+        if a ^ r < a:
+            a ^= r
+    for r in node.k_w:
+        if b ^ r < b:
+            b ^= r
+    return a, b
+
+
 def _step(node: _Node, offset: int, cache: CosetCache) -> Handle:
     """One recursion step: the sum of one of the node's sets from its
     children's sums."""
@@ -432,15 +457,7 @@ def _step(node: _Node, offset: int, cache: CosetCache) -> Handle:
         # the one-bit word u_0 weighs u_0
         value = WeightEnumerator([1, 1]) if node.free else WeightEnumerator.monomial(offset)
         return cache.intern(value)
-    a, b = node.cut(offset)
-    # clear the pivot bits of K_v and K_w: the children's sums are keyed by
-    # reduced offsets
-    for r in node.k_v:
-        if a ^ r < a:
-            a ^= r
-    for r in node.k_w:
-        if b ^ r < b:
-            b ^= r
+    a, b = _cut(node, offset)
     high = node.high
     rows_v, rows_w = node.rows
     steps = cache.steps
@@ -490,6 +507,9 @@ def _row(node: _Node, side: int, offset: int, cache: CosetCache) -> Row:
     another order.  So the offset is reduced to its coset representative r
     modulo D, the first row of each coset is evaluated, and every later row
     at r ^ low[k] is read off the first, at r ^ low[k0], as j -> j ^ k0 ^ k.
+    A child whose steps have one block evaluates a first row in one loop
+    over the images of the low deltas (``_first_row``); any other child
+    takes one recursion step per delta.
     """
 
     child = node.right if side else node.left
@@ -508,13 +528,16 @@ def _row(node: _Node, side: int, offset: int, cache: CosetCache) -> Row:
     else:
         cosets = child.cosets
         if cosets is None:
-            cosets = child.cosets = _cosets(low)
-        _, mask, reduce, memo = cosets
+            cosets = child.cosets = _cosets(child, low)
+        _, mask, reduce, memo, images = cosets
         delta, k = reduce[offset & mask]
         rep = offset ^ delta
         first = memo.get(rep)
         if first is None:
-            result = tuple([_step(child, d ^ offset, cache) for d in low])
+            if images is None:
+                result = tuple([_step(child, d ^ offset, cache) for d in low])
+            else:
+                result = _first_row(child, offset, images, cache)
             cache.put_coset(memo, rep, (result, k))
         else:
             row_0, k0 = first
@@ -524,17 +547,51 @@ def _row(node: _Node, side: int, offset: int, cache: CosetCache) -> Row:
     return result
 
 
-def _cosets(low: Sequence[int]) -> Cosets:
-    """An empty coset memo for a side whose low deltas are ``low``, box j's
-    delta ``low[j]``: they span D, and in its reduced basis each element is
-    the xor of the rows whose pivot bits it has, so an offset's pivot bits
-    pick the element of D that takes it to its coset representative."""
+def _cosets(node: _Node, low: Sequence[int]) -> Cosets:
+    """An empty coset memo of ``node`` for a side whose low deltas are
+    ``low``, box j's delta ``low[j]``: they span D, and in its reduced basis
+    each element is the xor of the rows whose pivot bits it has, so an
+    offset's pivot bits pick the element of D that takes it to its coset
+    representative.  A node whose steps have one block also keeps its
+    reduced cut of each delta."""
 
     # low[1 << i] is the side of mixed generator i
     mask = 0
     for r in _rref(low[1 << i] for i in range(len(low).bit_length() - 1)):
         mask |= 1 << r.bit_length() - 1
-    return low, mask, {d & mask: (d, j) for j, d in enumerate(low)}, {}
+    images = None if node.left is None or node.high else tuple([_cut(node, d) for d in low])
+    return low, mask, {d & mask: (d, j) for j, d in enumerate(low)}, {}, images
+
+
+def _first_row(
+    node: _Node, offset: int, images: Sequence[tuple[int, int]], cache: CosetCache
+) -> Row:
+    """The sums of ``node``'s sets at ``offset`` xor each low delta of its
+    one parent side, for a node whose steps have one block: ``_step`` at
+    each, with the children's offsets of the set at offset ^ low[j] read off
+    the offset's reduced cut xor ``images[j]``, the reduced cut of low[j]."""
+
+    a0, b0 = _cut(node, offset)
+    rows_v, rows_w = node.rows
+    steps = cache.steps
+    row: list[Handle] = []
+    for da, db in images:
+        a = a0 ^ da
+        row_v = rows_v.get(a)
+        if row_v is None:
+            row_v = _row(node, 0, a, cache)
+        b = b0 ^ db
+        row_w = rows_w.get(b)
+        if row_w is None:
+            row_w = _row(node, 1, b, cache)
+        key = row_v + row_w
+        block = steps.get(key)
+        if block is None:
+            block = _mix(zip(row_v, row_w), cache)
+            if len(steps) < cache.max_entries:
+                steps[key] = block
+        row.append(block)
+    return tuple(row)
 
 
 def _mix(

@@ -27,7 +27,6 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .codespec import CodeSpec, Profile, dual_spec, profile
 from .coset import CosetCache, affine_sum, calc_a  # calc_a: perfbench's self-test reads it here
-from .monomials import _predecessor_masks
 from .wef import WeightEnumerator, macwilliams
 
 DEFAULT_BUDGET = 1 << 28
@@ -73,46 +72,24 @@ class Report:
     cosets_evaluated: int
 
 
-def _orbits(m: int, red: Sequence[int]) -> list[tuple[int, tuple[int, ...], int]]:
-    """The reduced route's orbit split: (f, free rows, |S|) per peeled red row f.
-
-    Red rows are peeled in index order.  With the rows peeled before f frozen
-    to 0 and f frozen to 1, the red rows below f that are single-shift related
-    to f form S: one coset with S frozen to 0 stands for 2^{|S|} of them.  The
-    other rows below f stay free.  Every peeled row lies below the last frozen
-    index, so that index never moves and one pass over ``red`` suffices.
-    """
-
-    full = (1 << m) - 1
-    orbits = []
-    for pos, f in enumerate(red):
-        # rows of the single-shift predecessors of f's monomial (row index
-        # and monomial mask are complements)
-        shifts = {full ^ g for g in _predecessor_masks(full ^ f)}
-        below = red[pos + 1 :]
-        free = tuple(i for i in below if i not in shifts)
-        orbits.append((f, free, len(below) - len(free)))
-    return orbits
-
-
 def _lta_route(spec: CodeSpec, prof: Profile) -> Optional[tuple[int, list[PrefixSet]]]:
     """The reduced route on ``spec``: None unless the spec is plain and
     decreasing, else its coset count and its (offset, basis, multiplier)
     sets.
 
-    Each orbit of ``_orbits`` is one set, offset 1 << f plus the span of
-    its free red rows' unit vectors, counted 2^{|S|} times; the all-zero
-    coset (every red row frozen to 0, and u_s = 0 because the spec is
-    plain) completes the list.  A rate-one code has no sets and no cosets.
+    Each orbit of the spec's split (``CodeSpec._orbits``, worked out once
+    per spec) is one set, offset 1 << f plus the span of its free red rows'
+    unit vectors, counted 2^{|S|} times; the all-zero coset (every red row
+    frozen to 0, and u_s = 0 because the spec is plain) completes the
+    list.  A rate-one code has no sets and no cosets.
     """
 
     if not (spec.is_plain and spec.is_decreasing_code()):
         return None
     if prof.s is None:
         return 0, []
-    orbits = _orbits(spec.m, prof.red)
     sets: list[PrefixSet] = [
-        (1 << f, [1 << i for i in free], 1 << shifts) for f, free, shifts in orbits
+        (1 << f, [1 << i for i in free], 1 << shifts) for f, free, shifts in spec._orbits
     ]
     sets.append((0, (), 1))
     return sum(1 << len(basis) for _, basis, _ in sets), sets

@@ -6,13 +6,14 @@ import resource
 import subprocess
 import sys
 import tempfile
+from functools import cached_property
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import polarwd.codespec
 from polarwd import WeightEnumerator
+from polarwd.codespec import CodeSpec
 from polarwd.cli import _parser, run
 
 from conftest import HAMMING16_UNFROZEN
@@ -94,18 +95,23 @@ class TestWef:
         ],
     )
     def test_decreasing_checked_once_per_spec(self, capsys, tmp_path, monkeypatch, obj, route):
-        # construction, cost estimate and route all ask; the spec and its
-        # dual are each checked once
-        calls = []
-        check = polarwd.codespec.is_decreasing
-        monkeypatch.setattr(
-            "polarwd.codespec.is_decreasing", lambda monos: calls.append(1) or check(monos)
-        )
+        # construction, cost estimate and route all ask whether a spec is
+        # decreasing, and cost estimate and route both read its orbit
+        # split; the spec and its dual each work out either once
+        computed = {name: [] for name in ("_decreasing", "_orbits")}
+        for name, calls in computed.items():
+            compute = getattr(CodeSpec, name).func
+            counted = cached_property(lambda spec, f=compute, c=calls: c.append(1) or f(spec))
+            counted.__set_name__(CodeSpec, name)
+            monkeypatch.setattr(CodeSpec, name, counted)
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(obj))
         code, out, _ = invoke(capsys, "wef", "--spec", str(path), "--allow-dual")
         assert code == 0 and json.loads(out)["route"] == route
-        assert len(calls) == 2
+        assert {name: len(calls) for name, calls in computed.items()} == {
+            "_decreasing": 2,
+            "_orbits": 2,
+        }
 
     def test_budget_refusal_exit_2(self, capsys, hamming16_file):
         code, _, err = invoke(

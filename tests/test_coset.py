@@ -29,7 +29,6 @@ from polarwd.coset import (
     affine_sum,
     calc_a,
 )
-from polarwd.engine import _orbits
 from polarwd.oracle import brute_force_coset_wef
 
 from conftest import HAMMING16_WEF
@@ -235,6 +234,26 @@ class CountedGets(dict):
         return value
 
 
+def count_sets(monkeypatch):
+    """The node of every set the recursion evaluates, once per set, whether
+    a recursion step or a first row's loop evaluates it."""
+
+    evaluated = []
+    step, first_row = coset._step, coset._first_row
+
+    def stepped(node, offset, cache):
+        evaluated.append(node)
+        return step(node, offset, cache)
+
+    def looped(node, offset, images, cache):
+        evaluated.extend([node] * len(images))
+        return first_row(node, offset, images, cache)
+
+    monkeypatch.setattr(coset, "_step", stepped)
+    monkeypatch.setattr(coset, "_first_row", looped)
+    return evaluated
+
+
 def span(offset, basis):
     points = {offset}
     for v in basis:
@@ -397,7 +416,7 @@ class TestAffineSum:
         # and 8 under the best pairing of its quarter blocks; summed
         # naturally, it fills the 2^20 sum table
         prof = profile(polar128_spec)
-        free = next(free for f, free, _ in _orbits(7, prof.red) if f == 30)
+        free = next(free for f, free, _ in polar128_spec._orbits if f == 30)
         cache = CosetCache()
         node = _node(128, prof.s + 1, tuple(_rref(1 << i for i in free)), cache)
         assert node.cut is not _split
@@ -440,8 +459,9 @@ class TestAffineSum:
         # child that only one side asks keeps no sum table, and that side
         # evaluates one row per coset of its low deltas' span and permutes
         # it for the coset's other rows; a side that evaluated each of its
-        # rows, or a node shared late that forgot the sets evaluated before,
-        # would call _step more often
+        # rows, a node shared late that forgot the sets evaluated before,
+        # or a first row that left its children's offsets unreduced would
+        # evaluate more sets
         taps = [1, 0, 1, 1, 0, 1, 1]
         spec = {
             "PAC(32,16)": lambda: PAC32,
@@ -455,18 +475,76 @@ class TestAffineSum:
         }[code]()
         lifted = 1 << 128
         expected = route(spec, budget=lifted)
-        calls = []
-        step = coset._step
-
-        def counted(node, offset, cache):
-            calls.append(node)
-            return step(node, offset, cache)
-
-        monkeypatch.setattr(coset, "_step", counted)
+        evaluated = count_sets(monkeypatch)
         cache = CosetCache()
         assert route(spec, budget=lifted, cache=cache) == expected
-        assert len(calls) == steps
+        assert len(evaluated) == steps
         assert all(node.shared or not node.sums for node in cache.nodes.values())
+
+    @pytest.mark.parametrize("code", ["PAC(32,16)", "bec(6,20)", "n=16"])
+    def test_first_row_loop_equals_its_steps(self, monkeypatch, code):
+        # every first row that the loop evaluates equals one _step per low
+        # delta on a fresh cache: on random subsets of two codes' direct
+        # route sets, and on random sets of 8-bit prefixes at n = 16, where
+        # some deltas' cuts need the reduction by K_v and K_w
+        rng = random.Random(23)
+        if code == "n=16":
+            n, length, offset, basis = 16, 8, 0, [1 << i for i in range(8)]
+        else:
+            spec = PAC32 if code == "PAC(32,16)" else from_bhattacharyya_bec(6, 20, 0.4)
+            prof = profile(spec)
+            n, length = spec.n, prof.s + 1
+            offset, basis, _ = next(engine._direct_sets(spec, prof))
+        rows = []
+        first_row = coset._first_row
+
+        def recorded(node, row_offset, images, cache):
+            row = first_row(node, row_offset, images, cache)
+            rows.append((node, row_offset, node.cosets[0], [cache.value(h) for h in row]))
+            return row
+
+        monkeypatch.setattr(coset, "_first_row", recorded)
+        checked = shared = reduced = 0
+        for _ in range(30):
+            sub = [v for v in basis if rng.random() < 0.5]
+            start = offset
+            for v in basis:
+                start ^= v * rng.getrandbits(1)
+            rows.clear()
+            cache = CosetCache()
+            affine_sum(n, length, start, sub, cache)
+            checked += len(rows)
+            keys = {id(node): key for key, node in cache.nodes.items()}
+
+            def made(node, cache):
+                # the node of ``node``'s key in ``cache``
+                *head, blocks = keys[id(node)]
+                return _node(*head, cache, blocks)
+
+            # the steps below record rows of their own, on the fresh caches
+            for node, row_offset, low, values in list(rows):
+                fresh = CosetCache()
+                same = made(node, fresh)
+                steps = [fresh.value(coset._step(same, row_offset ^ d, fresh)) for d in low]
+                assert values == steps
+            # each unshared child with one-block steps keeps one image per
+            # low delta of its parent side: the delta's cut, reduced
+            kept = [node for node in cache.nodes.values() if node.cosets and node.cosets[4]]
+            for node in kept:
+                low, images = node.cosets[0], node.cosets[4]
+                assert not node.shared and len(images) == len(low)
+                assert images == tuple(coset._cut(node, d) for d in low)
+                for a, b in images:
+                    assert all(a ^ r > a for r in node.k_v)
+                    assert all(b ^ r > b for r in node.k_w)
+                reduced += images != tuple(node.cut(d) for d in low)
+            # a second asker shares the node: its images go with its memo
+            for node in kept:
+                assert made(node, cache) is node
+                assert node.shared and node.cosets is None
+                shared += 1
+        assert checked and shared
+        assert reduced or code != "n=16"
 
     def test_matches_oracle(self):
         for offset, basis in [(0b0110, [0b0011, 0b1000]), (0b101, [0b110]), (1, [])]:
@@ -580,23 +658,16 @@ class TestAffineSum:
             sum((coset_wef(16, 8, p) for p in span(offset, basis)), WeightEnumerator.zero())
             for offset in offsets
         ]
-        stepped = []
-        step = coset._step
-
-        def counted(node, offset, cache):
-            stepped.append(node)
-            return step(node, offset, cache)
-
-        monkeypatch.setattr(coset, "_step", counted)
+        evaluated = count_sets(monkeypatch)
         cache = CosetCache()
         top = _node(16, 8, tuple(_rref(basis)), cache)
         # (4, 0) spans the left child's basis, and a left row holds 4 boxes
         assert top.left is not top.right and len(top.low[0]) == 4
         steps = []
         for offset, value in zip(offsets, expected):
-            stepped.clear()
+            evaluated.clear()
             assert affine_sum(16, 8, offset, basis, cache) == value
-            steps.append((stepped.count(top.left), stepped.count(top.right)))
+            steps.append((evaluated.count(top.left), evaluated.count(top.right)))
         (first_v, first_w), (second_v, second_w) = steps
         assert first_v and first_w and second_w
         assert second_v == 0

@@ -25,7 +25,6 @@ from polarwd.engine import (
     EngineStats,
     StrategyInadmissible,
     _direct_sets,
-    _orbits,
 )
 
 from conftest import HAMMING16_WEF, POLAR128_UNFROZEN, POLAR128_WD
@@ -137,7 +136,7 @@ class TestDirect:
         # orbit u_30 of the (128,64) code: its first red rows mix the two
         # halves at every top-level dimension, so no grouping applies there
         red = profile(polar128_spec).red
-        free = next(fr for f, fr, _ in _orbits(7, red) if f == 30)
+        free = next(fr for f, fr, _ in polar128_spec._orbits if f == 30)
         orbit = polar128_spec.with_frozen(30, 1)
         for i in red:
             if i != 30 and i not in free:
@@ -219,11 +218,20 @@ class TestLta:
             wef_lta(spec)
 
     def test_orbits_follow_single_shift_definition(self, polar128_spec):
-        # S of row f is every red row below f that is single-shift below f
+        # S of row f is every red row below f that is single-shift below f;
+        # the split tests it on the bits of i ^ f, so random red lists,
+        # decreasing or not, are checked too (n - 1 stays frozen, so a
+        # sample of the other rows is the profile's red rows)
         specs = [polar128_spec]
         specs += [from_rm(r, m) for m in range(1, 8) for r in range(m + 1)]
         specs += [from_bhattacharyya_bec(m, k, 0.5) for m in (5, 6, 8) for k in (5, 1 << m - 1)]
-        for spec in specs + [dual_spec(spec) for spec in specs]:
+        specs += [dual_spec(spec) for spec in specs]
+        rng = random.Random(23)
+        for _ in range(400):
+            rows = range((1 << rng.randint(1, 8)) - 1)
+            red = rng.sample(rows, rng.randint(0, min(len(rows), 48)))
+            specs.append(from_unfrozen_set(len(rows).bit_length(), red))
+        for spec in specs:
             red = profile(spec).red
             monos = [Monomial.from_row_index(i, spec.m) for i in red]
             expected = []
@@ -231,7 +239,7 @@ class TestLta:
                 below = range(pos + 1, len(red))
                 free = tuple(red[j] for j in below if not single_shift_le(monos[j], monos[pos]))
                 expected.append((f, free, len(below) - len(free)))
-            assert _orbits(spec.m, red) == expected, spec.label
+            assert spec._orbits == tuple(expected), (spec.m, red)
 
     def test_polar128_within_one_cache(self, polar128_spec):
         # summed by natural halves only, the orbit u30 alone filled the 2^20
