@@ -9,8 +9,9 @@ also gives a rate-one code its closed form.  The direct route covers one
 coset per assignment of the red bits (2^gamma of them).  Every freeze
 constraint is affine, so their prefixes form one affine set with
 multiplier 1, built in one causal pass that carries each bit as its
-offset and red-bit coefficients; the work grows with how much each level
-mixes the two halves of the codeword, not with 2^gamma.
+offset and red-bit coefficients and fills the set's columns (the offset and
+one basis vector per red bit) as it sets bits; the work grows with how much
+each level mixes the two halves of the codeword, not with 2^gamma.
 The reduced route repeatedly freezes the first unfrozen row f: the subsets
 where f is frozen to 1 and the single-shift-related red rows take all
 values form one orbit of the lower-triangular affine group, so a single
@@ -171,19 +172,27 @@ def _direct_sets(spec: CodeSpec, prof: Profile) -> Iterator[PrefixSet]:
     Each u_i is an int over gamma + 1 columns: red bit r is 1 << (r + 1),
     and a frozen bit resolves its constraint on these ints, so its constant
     lands in bit 0.  Every freeze constraint is affine, so column 0 over
-    all u_i is the offset and column r + 1 is basis vector r.  Yielded, so
-    that it is built after the budget check.
+    all u_i is the offset and column r + 1 is basis vector r.  The pass
+    fills the columns as it goes: red bit r appends column r + 1 as
+    1 << i, and a frozen u_i sets bit i of each column c whose bit is set
+    in u_i, so the build costs one step per set bit of the u_i.  Yielded,
+    so that it is built after the budget check.
     """
 
     u: list[int] = []
-    red = 0
-    for st in spec.statuses[: prof.s + 1]:
+    cols = [0]  # cols[0] is the offset, cols[r + 1] basis vector r
+    for i, st in enumerate(spec.statuses[: prof.s + 1]):
         if st is None:
-            red += 1
-            u.append(1 << red)
+            u.append(1 << len(cols))
+            cols.append(1 << i)
         else:
-            u.append(st.value(u))
-    offset, *basis = (sum((x >> c & 1) << i for i, x in enumerate(u)) for c in range(red + 1))
+            x = st.value(u)
+            u.append(x)
+            while x:
+                low = x & -x
+                cols[low.bit_length() - 1] |= 1 << i
+                x ^= low
+    offset, *basis = cols
     yield offset, basis, 1
 
 

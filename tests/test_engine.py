@@ -16,7 +16,14 @@ from polarwd import (
     wef_direct,
     wef_lta,
 )
-from polarwd.codespec import CodeSpec, FreezeConstraint, from_frozen_set, profile
+from polarwd.codespec import (
+    CodeSpec,
+    FreezeConstraint,
+    from_frozen_set,
+    from_generator_matrix,
+    pac_spec,
+    profile,
+)
 from polarwd.monomials import Monomial, single_shift_le
 from polarwd import engine
 from polarwd.coset import calc_a
@@ -48,6 +55,54 @@ def _coset_prefix(spec, prof, assignment):
         else:
             u.append(st.value(u))
     return sum(b << i for i, b in enumerate(u))
+
+
+def _transposed_set(spec, prof):
+    """Reference (offset, basis) of the direct route: the causal pass over
+    u_0..u_s with red bit r as 1 << (r + 1), then column c of the u_i read
+    off as one int per column (column 0 the offset, column r + 1 basis
+    vector r)."""
+
+    u = []
+    red = 0
+    for st in spec.statuses[: prof.s + 1]:
+        if st is None:
+            red += 1
+            u.append(1 << red)
+        else:
+            u.append(st.value(u))
+    offset, *basis = (sum((x >> c & 1) << i for i, x in enumerate(u)) for c in range(red + 1))
+    return offset, basis
+
+
+# the six taps of the benchmark's PAC(64) family, over the RM(2,6) profile
+PAC64_TAPS = ("1011011", "1101001", "1110011", "1110001", "1011001", "1101011")
+
+
+def _pin_red_rows(spec, bits, value):
+    """Freeze the first ``bits`` red rows to the bits of ``value``, most
+    significant first, one ``with_frozen`` call per row."""
+
+    red = profile(spec).red
+    for j in range(bits):
+        spec = spec.with_frozen(red[j], value >> (bits - 1 - j) & 1)
+    return spec
+
+
+def _direct_constraint_calls(spec, monkeypatch):
+    """``wef_direct`` on ``spec`` with the target of every
+    ``FreezeConstraint.value`` call recorded: (targets, enumerator, stats)."""
+
+    calls = []
+    value = FreezeConstraint.value
+
+    def counting(self, u):
+        calls.append(self.target)
+        return value(self, u)
+
+    monkeypatch.setattr(FreezeConstraint, "value", counting)
+    stats = EngineStats()
+    return calls, wef_direct(spec, stats=stats), stats
 
 
 class TestDirect:
@@ -82,16 +137,8 @@ class TestDirect:
 
     def test_builds_prefix_set_in_one_pass(self, hamming16_spec, monkeypatch):
         # one causal pass resolves each frozen bit of u_0..u_s once
-        calls = []
-        value = FreezeConstraint.value
-
-        def counting(self, u):
-            calls.append(self.target)
-            return value(self, u)
-
-        monkeypatch.setattr(FreezeConstraint, "value", counting)
-        stats = EngineStats()
-        assert wef_direct(hamming16_spec, stats=stats) == HAMMING16_WEF
+        calls, wef, stats = _direct_constraint_calls(hamming16_spec, monkeypatch)
+        assert wef == HAMMING16_WEF
         s = profile(hamming16_spec).s
         assert calls == [i for i in hamming16_spec.frozen if i <= s]
         assert len(calls) == 5
@@ -118,6 +165,62 @@ class TestDirect:
                 span |= {p ^ vector for p in span}
             assert multiplier == 1 and len(span) == 1 << prof.gamma
             assert span == {_coset_prefix(spec, prof, a) for a in range(1 << prof.gamma)}
+
+    def test_prefix_set_is_the_transposed_pass(self, polar128_spec):
+        # not only the span: the offset and every basis vector, in order,
+        # are the columns of the causal pass (_transposed_set), so every
+        # plan built on the set stays the same
+        rng = random.Random(24)
+        specs = []
+        for _ in range(40):
+            m = rng.randrange(2, 8)
+            n = 1 << m
+            unfrozen = set(rng.sample(range(n), rng.randrange(1, n)))
+            statuses = [
+                None if i in unfrozen else FreezeConstraint(
+                    i, frozenset(j for j in range(i) if rng.random() < 0.2), rng.randrange(2)
+                )
+                for i in range(n)
+            ]
+            specs.append(CodeSpec(m, tuple(statuses)))
+        pacs = [pac_spec(6, from_rm(2, 6).unfrozen, [int(t) for t in taps]) for taps in PAC64_TAPS]
+        generated = []
+        for m, k in ((3, 4), (4, 7), (5, 16), (6, 20)):
+            while True:
+                gen = [[rng.randrange(2) for _ in range(1 << m)] for _ in range(k)]
+                try:
+                    generated.append(from_generator_matrix(gen))
+                    break
+                except ValueError:  # rank below k: draw again
+                    continue
+        # pinned the way the benchmark pins its units
+        pinned = [
+            _pin_red_rows(base, bits, rng.getrandbits(bits))
+            for base in (polar128_spec, pacs[0], generated[-1])
+            for bits in (1, 5, 12)
+        ]
+        specs += pacs + generated + pinned
+        for spec in specs:
+            prof = profile(spec)
+            if prof.s is None:
+                continue
+            ((offset, basis, multiplier),) = _direct_sets(spec, prof)
+            assert multiplier == 1
+            assert (offset, basis) == _transposed_set(spec, prof)
+
+    @pytest.mark.parametrize("code", ["pac", "pinned polar"])
+    def test_constraints_resolved_once_per_frozen_bit(self, code, polar128_spec, monkeypatch):
+        # the direct route calls FreezeConstraint.value once per frozen
+        # index <= s, which perfbench reads as codespec.constraint_value_calls
+        if code == "pac":
+            spec = pac_spec(5, from_rm(2, 5).unfrozen, [1, 0, 1, 1, 0, 1, 1])
+        else:
+            spec = _pin_red_rows(polar128_spec, profile(polar128_spec).gamma - 8, 0x5A5A5A5A5A)
+        s = profile(spec).s
+        calls, wef, stats = _direct_constraint_calls(spec, monkeypatch)
+        assert calls == [i for i in spec.frozen if i <= s]
+        assert stats.cosets_evaluated == 1 << profile(spec).gamma
+        assert wef.eval_at_one() == 1 << spec.k
 
     def test_evaluated_cosets_checked_against_prediction(self, hamming16_spec, monkeypatch):
         # a sum that misses its cosets breaks the count read off it
