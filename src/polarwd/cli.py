@@ -162,6 +162,8 @@ def _cmd_max_mixing_factor(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    if args.m < 0:
+        raise CliError("bad_m", "m must be non-negative")
     if args.m > MAX_JSON_M:
         raise CliError("bad_m", f"m={args.m} exceeds the limit of {MAX_JSON_M}")
     try:

@@ -62,17 +62,24 @@ boxes in blocks of at most 2^_LOW, the boxes (a ^ da, b ^ db) of one block
 offset (a, b).  The block's left handles, at a ^ da for each of its da,
 depend on a alone and its right ones on b alone, so each node memoises
 each side's row of handles by that side's offset, and a block whose a (or
-b) was seen before evaluates no box on that side.  Every block then
-follows one rule: its two rows, concatenated (x0, x1, ..., y0, y1, ...),
-fix the multiset of its (left, right) pairs and so its sum on any node, so
-that key is looked up next and a repeat costs one lookup.  Only a key that
-misses counts its distinct pairs; the count (a "mix") is memoised to the
-id of its sum, and a new mix multiplies each distinct pair once and adds
-count x product.  A step of one block returns that block's sum; a step of
-more blocks multiplies a pair shared by several of its blocks once, and
-adds its block sums through the same memo, keyed by how often each block
-sum occurs.  A value that finds the value table full stands for itself
-instead of an id, so results stay exact whatever the caps.
+b) was seen before evaluates no box on that side.  Rows are hash-consed
+like sums: the cache stores each distinct row once, whatever node or side
+asked for it, and the side memos keep its small-int id.  Every block then
+follows one rule: the ids of its two rows fix the multiset of its (left,
+right) pairs and so its sum on any node, so that pair of ids is looked up
+next and a repeat costs one lookup.  Only a key that misses counts its
+distinct pairs; the count (a "mix") is memoised to the id of its sum,
+keyed by one flat tuple of the pairs sorted, each with its count, and a
+new mix multiplies each distinct pair once and adds count x product.  A
+step of one block returns that block's sum; a step of more blocks
+multiplies a pair shared by several of its blocks once, and adds its block
+sums through the same memo, keyed by how often each block sum occurs.  A
+value that finds the value table full stands for itself instead of an id,
+and so does a row that finds the row table full, so results stay exact
+whatever the caps.  Small keys keep low-symmetry codes in memory: the
+direct route of a CRC-6 polar(128,64) code stores 781k step keys over
+57k distinct rows and 306k mixes, and peaks at 476 MB, where keys of
+whole rows and frozensets of pairs took 1.3 GB.
 
 A row's handles come from one of two memos, by one rule: a node keeps a
 sum table, reduced offset -> handle, only once it is shared, that is once
@@ -98,6 +105,7 @@ shared, and they keep 3,222 sums.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .wef import WeightEnumerator
@@ -112,17 +120,24 @@ Handle = Union[int, WeightEnumerator]
 Cut = Callable[[int], tuple[int, int]]
 Plan = tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, int], ...]]
 
+# A side row of child handles, and a row as the recursion passes it around:
+# the id of its stored copy, or the row itself when the row table was full.
+Row = tuple[Handle, ...]
+RowHandle = Union[int, Row]
+
 # The coset memo of a node that one parent side asks for (``_row``): that
 # side's low deltas, the mask of their pivot bits, the table from an
 # offset's pivot bits to (delta, box index), the memo from a coset's
-# representative to (its first row, that row's box index), and the node's
-# reduced cut of each delta (``_first_row``), None for a node whose steps
-# have several blocks or that is an n = 1 base node.
-Row = tuple[Handle, ...]
+# representative to (its first row's handle, that row's box index), and the
+# node's reduced cut of each delta (``_first_row``), None for a node whose
+# steps have several blocks or that is an n = 1 base node.
 Cosets = tuple[
-    tuple[int, ...], int, dict[int, tuple[int, int]], dict[int, tuple[Row, int]],
+    tuple[int, ...], int, dict[int, tuple[int, int]], dict[int, tuple[RowHandle, int]],
     Optional[tuple[tuple[int, int], ...]],
 ]
+
+# the tags of a flat mix key: of (left, right) pairs, or of block handles
+_PAIRS, _BLOCKS = 0, 1
 
 
 class _Node:
@@ -142,13 +157,13 @@ class _Node:
     children's bases; ``high`` lists the mixed generators past the first
     _LOW, and ``low`` the boxes those span, box j's (da, db) being
     (low[0][j], low[1][j]).  ``rows[0]`` (``rows[1]``) maps a reduced left
-    (right) child offset to the row of that child's handles at it xor each
-    of ``low[0]`` (``low[1]``).  ``shared`` says whether ``_node`` has
-    returned the node more than once; only then does ``sums`` map offsets
-    to the handles of their sums, and until then it stays empty.  Until
-    then the first row its one parent side asks for makes ``cosets``, the
-    coset memo of that side's rows of this node with the node's reduced
-    cut of each of the side's deltas (``_row``).  A node with ``left``
+    (right) child offset to the handle of the row of that child's handles
+    at it xor each of ``low[0]`` (``low[1]``).  ``shared`` says whether
+    ``_node`` has returned the node more than once; only then does ``sums``
+    map offsets to the handles of their sums, and until then it stays
+    empty.  Until then the first row its one parent side asks for makes
+    ``cosets``, the coset memo of that side's rows of this node with the
+    node's reduced cut of each of the side's deltas (``_row``).  A node with ``left``
     None is the n = 1 base case, whose sums follow the same rule; ``free``
     says whether its one bit runs free.
     """
@@ -198,7 +213,7 @@ class _Node:
             low += [(x ^ da, y ^ db) for x, y in low]
         self.low = tuple(zip(*low))
         self.high = mixed[_LOW:]
-        self.rows: tuple[dict[int, Row], ...] = ({}, {})
+        self.rows: tuple[dict[int, RowHandle], ...] = ({}, {})
         self.left = _node(n, width, self.k_v, cache, c)
         self.right = _node(n, width, self.k_w, cache, blocks - c)
 
@@ -213,36 +228,44 @@ class CosetCache:
       sum; a node that one parent side alone asks for has none, and
       ``len`` counts the entries over all nodes;
     - the value table: each distinct sum polynomial once, ``values[id]``;
-    - the row table (``put_row``, ``put_coset``): each node's two side-row
-      dicts, a reduced child offset -> that child's handles at it xor each
-      of the side's low deltas, and each unshared node's coset memo, a
-      coset representative -> the first row its parent side asked for;
-    - ``steps``: a block's left row then its right row, x0, x1, ..., y0,
-      y1, ... -> handle of the block's sum;
+    - the row table (``put_row``): each distinct row of child handles
+      once, ``rows[id]``, shared by every node and side;
+    - the side-row table (``put_row``, ``put_coset``): each node's two
+      side-row dicts, a reduced child offset -> the handle of that child's
+      row at it (its handles at the offset xor each of the side's low
+      deltas), and each unshared node's coset memo, a coset representative
+      -> the first row its parent side asked for;
+    - ``steps``: a block's (left row, right row) handles -> handle of the
+      block's sum;
     - ``mixes``: a block's distinct (left, right) pairs with their box
-      counts, or a step's distinct block handles with their block counts
-      -> handle of the sum.
+      counts, or a step's distinct block handles with their block counts,
+      as one flat sorted tuple (_PAIRS, x0, y0, c0, x1, ...) or (_BLOCKS,
+      h0, c0, h1, ...) -> handle of the sum.
 
-    ``max_entries`` caps each of the six tables; the sum and row tables
-    are capped as a whole, and a coset memo that moves into a sum table
-    keeps its count.  Each table stops growing silently at the cap
+    ``max_entries`` caps each of the seven tables; the sum and side-row
+    tables are capped as a whole, and a coset memo that moves into a sum
+    table keeps its count.  Each table stops growing silently at the cap
     and entries are never mutated after insertion.  A node is stored after
     its children, so a stored node only refers to stored nodes.  A value
     refused by the full value table goes on as its own handle (an
-    enumerator, hashed and compared by value, in step and mix keys alike),
-    and a refused node, side row, step or mix is recomputed when next
-    needed, so a full table costs speed, never exactness.
+    enumerator, hashed and compared by value, in rows and step keys alike;
+    a mix holding one is keyed by the frozenset of its items and counts),
+    and a row refused by the full row table goes on as its own handle, the
+    row itself.  A refused node, side row, step or mix is recomputed when
+    next needed, so a full table costs speed, never exactness.
     """
 
     def __init__(self, max_entries: int = 1 << 20):
         self.max_entries = max_entries
         self.nodes: dict[tuple, _Node] = {}
         self._sums = 0
-        self._rows = 0
+        self._side_rows = 0
         self.values: list[WeightEnumerator] = []
         self._ids: dict[tuple[int, ...], int] = {}
-        self.mixes: dict[frozenset[tuple[Union[Handle, tuple[Handle, Handle]], int]], Handle] = {}
-        self.steps: dict[tuple[Handle, ...], Handle] = {}
+        self.rows: list[Row] = []
+        self._row_ids: dict[Row, int] = {}
+        self.mixes: dict[Union[tuple[int, ...], frozenset], Handle] = {}
+        self.steps: dict[tuple[RowHandle, RowHandle], Handle] = {}
 
     def get(self, node: _Node, offset: int) -> Optional[Handle]:
         return node.sums.get(offset)
@@ -254,21 +277,34 @@ class CosetCache:
             node.sums[offset] = value
             self._sums += 1
 
-    def put_row(self, node: _Node, side: int, offset: int, row: Row) -> None:
-        """Store a side row that ``node.rows[side]`` just missed."""
+    def put_row(self, node: _Node, side: int, offset: int, row: Row) -> RowHandle:
+        """The handle of a side row that ``node.rows[side]`` just missed at
+        ``offset``, stored there: the id of the row's copy in the row table,
+        or the row itself when it is new and the row table is full."""
 
-        if self._rows < self.max_entries:
-            node.rows[side][offset] = row
-            self._rows += 1
+        handle = self._row_ids.get(row)
+        if handle is None:
+            if len(self.rows) < self.max_entries:
+                handle = self._row_ids[row] = len(self.rows)
+                self.rows.append(row)
+            else:
+                handle = row
+        if self._side_rows < self.max_entries:
+            node.rows[side][offset] = handle
+            self._side_rows += 1
+        return handle
 
     def put_coset(
-        self, memo: dict[int, tuple[Row, int]], rep: int, first: tuple[Row, int]
+        self, memo: dict[int, tuple[RowHandle, int]], rep: int, first: tuple[RowHandle, int]
     ) -> None:
         """Store the first row of a side's coset that its memo just missed."""
 
-        if self._rows < self.max_entries:
+        if self._side_rows < self.max_entries:
             memo[rep] = first
-            self._rows += 1
+            self._side_rows += 1
+
+    def row(self, handle: RowHandle) -> Row:
+        return self.rows[handle] if type(handle) is int else handle
 
     def intern(self, value: WeightEnumerator) -> Handle:
         """The id of ``value``'s stored copy; ``value`` itself when it is
@@ -310,7 +346,7 @@ def _node(
             low, _, _, memo, _ = node.cosets
             node.cosets = None
             for rep, (row, k) in memo.items():
-                for j, handle in enumerate(row):
+                for j, handle in enumerate(cache.row(row)):
                     cache.put(node, rep ^ low[j ^ k], handle)
     return node
 
@@ -460,7 +496,7 @@ def _step(node: _Node, offset: int, cache: CosetCache) -> Handle:
     a, b = _cut(node, offset)
     high = node.high
     rows_v, rows_w = node.rows
-    steps = cache.steps
+    steps, row_of = cache.steps, cache.row
     blocks: list[Handle] = []
     # a (left, right) pair that recurs in several blocks of the step is
     # multiplied once
@@ -475,12 +511,12 @@ def _step(node: _Node, offset: int, cache: CosetCache) -> Handle:
         row_w = rows_w.get(b)
         if row_w is None:
             row_w = _row(node, 1, b, cache)
-        # the two rows, x0, x1, ..., y0, y1, ..., halves of one length, fix
-        # the multiset of the block's pairs and so its sum, on any node
-        key = row_v + row_w
+        # the two rows fix the multiset of the block's pairs and so its
+        # sum, on any node
+        key = row_v, row_w
         block = steps.get(key)
         if block is None:
-            block = _mix(zip(row_v, row_w), cache, products)
+            block = _mix(zip(row_of(row_v), row_of(row_w)), cache, products)
             if len(steps) < cache.max_entries:
                 steps[key] = block
         if not high:
@@ -494,11 +530,11 @@ def _step(node: _Node, offset: int, cache: CosetCache) -> Handle:
         b ^= db
 
 
-def _row(node: _Node, side: int, offset: int, cache: CosetCache) -> Row:
-    """The row of ``node``'s child on ``side`` (0: left, 1: right) at its
-    reduced ``offset``: the handles of the child's sums at the offset xor
-    each of the side's low deltas.  Stored in ``node.rows[side]`` while
-    there is room.
+def _row(node: _Node, side: int, offset: int, cache: CosetCache) -> RowHandle:
+    """The handle of the row of ``node``'s child on ``side`` (0: left, 1:
+    right) at its reduced ``offset``: the handles of the child's sums at the
+    offset xor each of the side's low deltas.  Stored in ``node.rows[side]``
+    while there is room.
 
     A shared child's sums come from the sum table or, on a miss, from a
     recursion step.  A child that only this side asks keeps no sum table:
@@ -524,27 +560,26 @@ def _row(node: _Node, side: int, offset: int, cache: CosetCache) -> Row:
                 x = _step(child, d, cache)
                 put(child, d, x)
             row.append(x)
-        result = tuple(row)
+        return cache.put_row(node, side, offset, tuple(row))
+    cosets = child.cosets
+    if cosets is None:
+        cosets = child.cosets = _cosets(child, low)
+    _, mask, reduce, memo, images = cosets
+    delta, k = reduce[offset & mask]
+    rep = offset ^ delta
+    first = memo.get(rep)
+    if first is not None:
+        handle, k0 = first
+        row_0 = cache.row(handle)
+        k ^= k0
+        return cache.put_row(node, side, offset, tuple([row_0[j ^ k] for j in range(len(row_0))]))
+    if images is None:
+        result = tuple([_step(child, d ^ offset, cache) for d in low])
     else:
-        cosets = child.cosets
-        if cosets is None:
-            cosets = child.cosets = _cosets(child, low)
-        _, mask, reduce, memo, images = cosets
-        delta, k = reduce[offset & mask]
-        rep = offset ^ delta
-        first = memo.get(rep)
-        if first is None:
-            if images is None:
-                result = tuple([_step(child, d ^ offset, cache) for d in low])
-            else:
-                result = _first_row(child, offset, images, cache)
-            cache.put_coset(memo, rep, (result, k))
-        else:
-            row_0, k0 = first
-            k ^= k0
-            result = tuple([row_0[j ^ k] for j in range(len(row_0))])
-    cache.put_row(node, side, offset, result)
-    return result
+        result = _first_row(child, offset, images, cache)
+    handle = cache.put_row(node, side, offset, result)
+    cache.put_coset(memo, rep, (handle, k))
+    return handle
 
 
 def _cosets(node: _Node, low: Sequence[int]) -> Cosets:
@@ -573,7 +608,7 @@ def _first_row(
 
     a0, b0 = _cut(node, offset)
     rows_v, rows_w = node.rows
-    steps = cache.steps
+    steps, row_of = cache.steps, cache.row
     row: list[Handle] = []
     for da, db in images:
         a = a0 ^ da
@@ -584,10 +619,10 @@ def _first_row(
         row_w = rows_w.get(b)
         if row_w is None:
             row_w = _row(node, 1, b, cache)
-        key = row_v + row_w
+        key = row_v, row_w
         block = steps.get(key)
         if block is None:
-            block = _mix(zip(row_v, row_w), cache)
+            block = _mix(zip(row_of(row_v), row_of(row_w)), cache)
             if len(steps) < cache.max_entries:
                 steps[key] = block
         row.append(block)
@@ -601,15 +636,30 @@ def _mix(
 ) -> Handle:
     """The sum of ``items``, memoised in ``mixes`` by their multiset: an
     item is a (left, right) pair of handles, which stands for their
-    product, or a block's handle.  ``products``, when given, keeps the
-    products of pairs across the calls that share it."""
+    product, or a block's handle.  The key is one flat tuple of the items
+    sorted, each followed by its count, after a tag: (_PAIRS, x0, y0, c0,
+    x1, ...) or (_BLOCKS, h0, c0, h1, ...).  Enumerator handles do not
+    sort, so a multiset that holds one is keyed by the frozenset of its
+    (item, count)s.  ``products``, when given, keeps the products of pairs
+    across the calls that share it."""
 
     counts: dict[Union[Handle, tuple[Handle, Handle]], int] = {}
     for item in items:
         counts[item] = counts.get(item, 0) + 1
-    # a handle is never a tuple, so a multiset of block handles never equals
-    # one of pairs
-    mix = frozenset(counts.items())
+    pairs = type(item) is tuple
+    # only a full value table has handed out enumerators
+    if len(cache.values) >= cache.max_entries and not all(
+        type(h) is int for h in (chain.from_iterable(counts) if pairs else counts)
+    ):
+        mix: Union[tuple[int, ...], frozenset] = frozenset(counts.items())
+    elif pairs:
+        flat = [_PAIRS]
+        for pair in sorted(counts):
+            flat += pair
+            flat.append(counts[pair])
+        mix = tuple(flat)
+    else:
+        mix = (_BLOCKS, *chain.from_iterable(sorted(counts.items())))
     result = cache.mixes.get(mix)
     if result is None:
         # one term per distinct item, times the boxes or blocks that have it

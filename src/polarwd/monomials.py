@@ -166,38 +166,6 @@ def single_shift_le(f: Monomial, g: Monomial) -> bool:
     return f.mask in _predecessor_masks(g.mask)
 
 
-def chain_decompose(f: Monomial, g: Monomial) -> Optional[list[Monomial]]:
-    """Witness chain f = f_0, f_1, ..., f_t = g with single-shift steps, or None.
-
-    Returns [f] when f == g.  Construction: first raise f's variables one at a
-    time to match the top-aligned divisor of g, then append g's remaining
-    variables smallest-first.
-    """
-
-    order = compare(f, g)
-    if order == Order.EQUAL:
-        return [f]
-    if order != Order.F_PRECEDES_G:
-        return None
-    m = f.m
-    fv = list(f.vars)
-    gv = list(g.vars)
-    shift = len(gv) - len(fv)
-    target = gv[shift:]
-    chain = [f]
-    current = fv[:]
-    # raise variables from the largest position down; each step stays sorted
-    for pos in range(len(fv) - 1, -1, -1):
-        if current[pos] != target[pos]:
-            current[pos] = target[pos]
-            chain.append(Monomial.from_vars(current, m))
-    # grow degree by adding the missing variables smallest-first
-    for v in gv[:shift]:
-        current.append(v)
-        chain.append(Monomial.from_vars(current, m))
-    return chain
-
-
 def _predecessor_masks(mask: int) -> Iterator[int]:
     """Masks of the single-shift predecessors of ``mask``: for each variable
     k ascending, k deleted, then k lowered to each absent j < k ascending."""
@@ -209,12 +177,6 @@ def _predecessor_masks(mask: int) -> Iterator[int]:
             for j in range(k):
                 if not mask >> j & 1:
                     yield deleted | 1 << j
-
-
-def immediate_predecessors(g: Monomial) -> list[Monomial]:
-    """All f with f single-shift below g: one deletion or one variable lowered."""
-
-    return [Monomial(f, g.m) for f in _predecessor_masks(g.mask)]
 
 
 def _generators_present(mask: int, present: set[int]) -> bool:

@@ -106,7 +106,7 @@ def test_traced_cache_counts_pinned(monkeypatch):
         if child.shared
         for row in side.values()
     ]
-    assert calls["get"] == sum(map(len, rows))
+    assert calls["get"] == sum(len(cache.row(row)) for row in rows)
 
 
 def test_tracer_selftest(monkeypatch, capsys):

@@ -412,6 +412,14 @@ class TestOtherCommands:
         code, out, err = invoke(capsys, "compare", "--f", "x0", "--g", "x1", "--m", "17")
         assert (code, out) == (1, "") and "ERROR[bad_m]" in err
 
+    def test_compare_negative_m_rejected(self, capsys):
+        # a negative --m is a bad m, as for max-mixing-factor, not a bad
+        # monomial; m = 0 holds the constant monomial alone
+        code, out, err = invoke(capsys, "compare", "--f", "1", "--g", "1", "--m", "-3")
+        assert (code, out) == (1, "") and "ERROR[bad_m]" in err
+        assert "bad_monomial" not in err
+        assert invoke(capsys, "compare", "--f", "1", "--g", "1", "--m", "0")[:2] == (0, "equal\n")
+
     def test_compare_bad_monomial(self, capsys):
         code, _, err = invoke(capsys, "compare", "--f", "x9", "--g", "x1", "--m", "4")
         assert code == 1 and "ERROR[bad_monomial]" in err

@@ -616,8 +616,8 @@ class TestAffineSum:
             # keyed by block handles too
             (partial(affine_sum, 32, 32, offset, basis), affine_sum(32, 32, offset, basis)),
         ]:
-            # every table full or not, and values past the cap are carried as
-            # enumerators, not ids
+            # every table full or not, and values and rows past the cap are
+            # carried as enumerators and tuples of handles, not ids
             for cap in (0, 1, 2, 4):
                 made.clear()
                 cache = CosetCache(max_entries=cap)
@@ -634,9 +634,17 @@ class TestAffineSum:
                     for side in node.rows
                 )
                 rows += sum(len(node.cosets[3]) for node in made.values() if node.cosets)
-                tables = (nodes, cache.values, cache.mixes, cache.steps)
+                tables = (nodes, cache.values, cache.rows, cache.mixes, cache.steps)
                 assert sums <= cap and rows <= cap
                 assert all(len(table) <= cap for table in tables)
+                # the row table's ids name its rows, and the rows it refused
+                # stand for themselves
+                assert len(cache._row_ids) == len(cache.rows)
+                assert all(
+                    type(row) is tuple or row < len(cache.rows)
+                    for key in cache.steps
+                    for row in key
+                )
                 # stored nodes refer to stored nodes only
                 stored = {id(node) for node in nodes}
                 assert all(
@@ -674,8 +682,9 @@ class TestAffineSum:
 
     def test_step_keys_of_enumerator_handles_stay_exact(self):
         # a value table that is full before the run hands out every sum as an
-        # enumerator, so each step key holds enumerators, hashed and compared
-        # by value: steps still hit, and the result is still exact
+        # enumerator, so each row a step key names holds enumerators, hashed
+        # and compared by value: steps still hit, and the result is still
+        # exact
         offset, basis = nested_set()
         for total in (
             partial(wef_direct, PAC32),
@@ -687,13 +696,40 @@ class TestAffineSum:
             cache.steps = CountedGets()
             assert total(cache=cache) == total()
             assert len(cache.values) == cache.max_entries
-            handles = [h for key in cache.steps for h in key]
+            handles = [h for key in cache.steps for row in key for h in cache.row(row)]
             assert handles and all(isinstance(h, WeightEnumerator) for h in handles)
             assert cache.steps.hits > 0
             # mixes keyed by pairs of enumerators, and by blocks' enumerators
             items = [item for key in cache.mixes for item, _ in key]
             assert any(type(item) is tuple for item in items)
             assert any(isinstance(item, WeightEnumerator) for item in items)
+
+    def test_full_row_table_stays_exact(self):
+        # a row table that is full before the run hands out every side row
+        # as itself, a tuple of handles, so each step key holds two rows,
+        # hashed and compared by value: steps still hit, and the result is
+        # still exact
+        offset, basis = nested_set()
+        for total in (
+            partial(wef_direct, PAC32),
+            partial(wef_direct, from_bhattacharyya_bec(6, 20, 0.4)),
+            partial(affine_sum, 32, 32, offset, basis),
+        ):
+            cache = CosetCache(max_entries=1 << 12)
+            cache.rows.extend([()] * cache.max_entries)
+            cache.steps = CountedGets()
+            assert total(cache=cache) == total()
+            assert len(cache.rows) == cache.max_entries and not cache._row_ids
+            rows = [row for key in cache.steps for row in key]
+            rows += [
+                row
+                for node in cache.nodes.values()
+                if node.left is not None
+                for side in node.rows
+                for row in side.values()
+            ]
+            assert rows and all(type(row) is tuple and row for row in rows)
+            assert cache.steps.hits > 0
 
     def test_plan_shared_across_block_lengths(self):
         # a plan depends on (length, basis) only, so the node of each block
@@ -806,6 +842,71 @@ class TestHashConsing:
             type(handle) is int for node in cache.nodes.values() for handle in node.sums.values()
         )
         assert len(cache.values) < len(cache)
+
+    def test_step_keys_are_pairs_of_row_handles(self):
+        # a block's step key is the pair of its left and right rows' ids,
+        # each distinct row of child handles stored once in the row table,
+        # the two rows of one length
+        offset, basis = nested_set()
+        for total in (partial(wef_direct, PAC32), partial(affine_sum, 32, 32, offset, basis)):
+            cache = CosetCache()
+            total(cache=cache)
+            assert cache.steps and len(set(cache.rows)) == len(cache.rows)
+            assert all(cache._row_ids[row] == rid for rid, row in enumerate(cache.rows))
+            for key in cache.steps:
+                assert type(key) is tuple and len(key) == 2
+                assert all(type(rid) is int and 0 <= rid < len(cache.rows) for rid in key)
+                left, right = map(cache.row, key)
+                assert len(left) == len(right)
+
+    def test_equal_rows_share_one_row_id(self):
+        # side rows are hash-consed across nodes and sides: every side row
+        # and coset memo names its row by an id, one per distinct row, so
+        # nodes whose rows hold the same handles share their ids
+        cache = CosetCache()
+        assert wef_direct(PAC32, cache=cache) == brute_force_wef(PAC32)
+        owners = {}  # row id -> the nodes whose side rows name it
+        for key, node in cache.nodes.items():
+            if node.left is not None:
+                for side in node.rows:
+                    for rid in side.values():
+                        owners.setdefault(rid, set()).add(key)
+        memos = [
+            rid
+            for node in cache.nodes.values()
+            if node.cosets
+            for rid, _ in node.cosets[3].values()
+        ]
+        ids = set(owners) | set(memos)
+        assert all(type(rid) is int for rid in ids)
+        assert len({cache.row(rid) for rid in ids}) == len(ids)
+        assert any(len(nodes) > 1 for nodes in owners.values())
+
+    def test_mix_keys_are_flat_unless_an_enumerator(self):
+        # a multiset of ids is keyed by one flat tuple of its items sorted,
+        # each followed by its count, after the tag of pairs or of blocks,
+        # also once the value table is full; one that holds an enumerator
+        # handle, which does not sort, keeps the frozenset of its items
+        cache = CosetCache(max_entries=4)
+        x, y, z = (WeightEnumerator(c) for c in ([0, 1], [1, 1], [1, 0, 2]))
+        a, b = cache.intern(x), cache.intern(y)
+        pairs = coset._mix([(b, a), (a, b), (b, a)], cache)
+        blocks = coset._mix([b, a, b], cache)
+        assert len(cache.values) == cache.max_entries
+        c = cache.intern(z)
+        assert c is z
+        refused = coset._mix([(a, c), (a, c)], cache)
+        full = coset._mix([(a, a)], cache)
+        assert list(cache.mixes) == [
+            (coset._PAIRS, a, b, 1, b, a, 2),
+            (coset._BLOCKS, a, 1, b, 2),
+            frozenset({((a, c), 2)}),
+            (coset._PAIRS, a, a, 1),
+        ]
+        assert cache.value(pairs) == (x * y).scale(3)
+        assert cache.value(blocks) == y.scale(2) + x
+        assert cache.value(refused) == (x * z).scale(2)
+        assert cache.value(full) == x * x
 
     def test_multi_block_rows_hit_steps(self, monkeypatch):
         # a set whose top step walks blocks of 16 boxes, summed twice: the

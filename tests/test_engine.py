@@ -543,8 +543,7 @@ class TestRouteEquivalence:
 
     def test_random_decreasing_specs(self):
         rng = random.Random(2024)
-        from polarwd import Monomial, from_unfrozen_set
-        from polarwd.monomials import immediate_predecessors
+        from polarwd import Monomial, from_unfrozen_set, single_shift_le
 
         for _ in range(20):
             m = rng.choice([3, 4, 5])
@@ -559,7 +558,9 @@ class TestRouteEquivalence:
                     if f.mask in masks:
                         continue
                     masks.add(f.mask)
-                    closure.extend(immediate_predecessors(f))
+                    closure.extend(
+                        Monomial(x, m) for x in range(1 << m) if single_shift_le(Monomial(x, m), f)
+                    )
             unfrozen = [Monomial(mask, m).row_index for mask in masks]
             spec = from_unfrozen_set(m, unfrozen)
             if spec.k > 16:

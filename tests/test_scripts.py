@@ -1,6 +1,7 @@
 """The command-line scripts under ``scripts/``, each run as its own process."""
 
 import json
+import re
 import subprocess
 import sys
 import textwrap
@@ -47,9 +48,11 @@ def test_128_64_full_run_writes_the_distribution(tmp_path):
     proc = run_script("run_128_64_distribution.py", "--out", str(out))
     assert (proc.returncode, proc.stdout) == (0, ""), proc.stderr
     payload = json.loads(out.read_text())
-    # the elapsed time goes to stderr only, so the file is deterministic
+    # the elapsed time and peak RSS go to stderr only, so the file is
+    # deterministic
     assert list(payload) == ["n", "k", "cosets_evaluated", "wef"]
-    assert "60752896 cosets in" in proc.stderr
+    [line] = [line for line in proc.stderr.splitlines() if "cosets in" in line]
+    assert re.fullmatch(r"60752896 cosets in \d+\.\d s, peak RSS \d+\.\d MB", line), line
     assert (payload["n"], payload["k"], payload["cosets_evaluated"]) == (128, 64, "60752896")
     assert {w: int(c) for w, c in payload["wef"]} == POLAR128_WD
 
