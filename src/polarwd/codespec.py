@@ -64,10 +64,10 @@ class Profile:
 class CodeSpec:
     """An immutable length-2^m code: per-index freeze status plus a label.
 
-    Its frozen and unfrozen indices, its profile, whether it is plain,
-    whether its unfrozen set is decreasing, its orbit split and its dual
-    are worked out once per instance: route selection and the routes
-    themselves all ask.
+    Its frozen and unfrozen indices, its profile, the scan of its
+    constraints' constants and supports (whether it is plain), whether its
+    unfrozen set is decreasing, its orbit split and its dual are worked out
+    once per instance: route selection and the routes themselves all ask.
     """
 
     m: int
@@ -141,8 +141,24 @@ class CodeSpec:
         return tuple(orbits)
 
     @cached_property
+    def _constants(self) -> tuple[int, bool]:
+        """One scan of the freeze constraints: the mask of the frozen bits
+        whose constant is 1 (bit i for u_i), and whether any frozen bit has
+        a support.  A spec with no support fixes each frozen u_i to its
+        constant, whatever the other bits are."""
+
+        mask, supported = 0, False
+        for st in self.statuses:
+            if st is not None:
+                if st.constant:
+                    mask |= 1 << st.target
+                if st.support:
+                    supported = True
+        return mask, supported
+
+    @property
     def is_plain(self) -> bool:
-        return all(st is None or st.is_plain for st in self.statuses)
+        return self._constants == (0, False)
 
     def unfrozen_monomials(self) -> list[Monomial]:
         return [Monomial.from_row_index(i, self.m) for i in self.unfrozen]

@@ -261,7 +261,7 @@ class CosetCache:
         self._sums = 0
         self._side_rows = 0
         self.values: list[WeightEnumerator] = []
-        self._ids: dict[tuple[int, ...], int] = {}
+        self._ids: dict[WeightEnumerator, int] = {}  # keyed by the stored values
         self.rows: list[Row] = []
         self._row_ids: dict[Row, int] = {}
         self.mixes: dict[Union[tuple[int, ...], frozenset], Handle] = {}
@@ -310,12 +310,11 @@ class CosetCache:
         """The id of ``value``'s stored copy; ``value`` itself when it is
         new and the value table is full."""
 
-        coeffs = tuple(value.coeffs)
-        vid = self._ids.get(coeffs)
+        vid = self._ids.get(value)
         if vid is None:
             if len(self.values) >= self.max_entries:
                 return value
-            vid = self._ids[coeffs] = len(self.values)
+            vid = self._ids[value] = len(self.values)
             self.values.append(value)
         return vid
 
@@ -696,6 +695,12 @@ def affine_sum(
     lengths below n get a sum-table entry in ``cache`` (a private one when
     None): the engine never asks for the same full-length set twice.  The
     result belongs to the caller, never to the cache.
+
+    Every node key holds a reduced basis, pivots descending, so a node
+    found under the basis as given, reversed, proves it already reduced:
+    a shared node found so is used as it is, with no reduction and no
+    ``_node`` call.  Any other basis is reduced and goes through
+    ``_node``, which marks a node shared when it returns it a second time.
     """
 
     if n < 1 or n & (n - 1):
@@ -706,9 +711,12 @@ def affine_sum(
         raise ValueError(f"prefix set has vectors wider than {length} bits")
     if cache is None:
         cache = CosetCache()
+    node = cache.nodes.get((n, length, tuple(basis[::-1]), 1))
+    if node is None or not node.shared:
+        node = _node(n, length, tuple(_rref(basis)), cache)
     # the offset goes in unreduced: a step reduces only its children's
     # offsets, and this set gets no sum-table entry
-    handle = _step(_node(n, length, tuple(_rref(basis)), cache), offset, cache)
+    handle = _step(node, offset, cache)
     return WeightEnumerator(cache.value(handle).coeffs)
 
 

@@ -175,10 +175,18 @@ def _direct_sets(spec: CodeSpec, prof: Profile) -> Iterator[PrefixSet]:
     all u_i is the offset and column r + 1 is basis vector r.  The pass
     fills the columns as it goes: red bit r appends column r + 1 as
     1 << i, and a frozen u_i sets bit i of each column c whose bit is set
-    in u_i, so the build costs one step per set bit of the u_i.  Yielded,
-    so that it is built after the budget check.
+    in u_i, so the build costs one step per set bit of the u_i.  On a spec
+    with no support the pass is read off the cached scan of its constants
+    (``CodeSpec._constants``): each frozen u_i is its constant, so the
+    offset is the constants' mask up to bit s and basis vector r is
+    1 << red[r], with no constraint resolved.  Yielded, so that it is
+    built after the budget check.
     """
 
+    constants, supported = spec._constants
+    if not supported:
+        yield constants & (1 << prof.s + 1) - 1, [1 << i for i in prof.red], 1
+        return
     u: list[int] = []
     cols = [0]  # cols[0] is the offset, cols[r + 1] basis vector r
     for i, st in enumerate(spec.statuses[: prof.s + 1]):

@@ -64,6 +64,35 @@ class TestProfile:
         assert spec.k == len(spec.unfrozen) == 11
 
 
+class TestConstants:
+    @pytest.mark.parametrize("kind", ["plain", "constants", "supports", "both"])
+    def test_is_plain_matches_its_statuses(self, kind):
+        # the cached scan of the constraints decides ``is_plain`` as the
+        # per-status definition does, and holds the constants' mask
+        rng = random.Random(28)
+        for _ in range(30):
+            m = rng.randrange(1, 7)
+            n = 1 << m
+            unfrozen = set(rng.sample(range(n), rng.randrange(0, n)))
+            statuses = []
+            for i in range(n):
+                if i in unfrozen:
+                    statuses.append(None)
+                    continue
+                support = frozenset()
+                if kind in ("supports", "both") and i and rng.random() < 0.3:
+                    support = frozenset(rng.sample(range(i), rng.randrange(1, i + 1)))
+                constant = rng.randrange(2) if kind in ("constants", "both") else 0
+                statuses.append(FreezeConstraint(i, support, constant))
+            spec = CodeSpec(m, tuple(statuses))
+            plain = all(st is None or st.is_plain for st in statuses)
+            assert spec.is_plain == plain
+            mask, supported = spec._constants
+            assert mask == sum(st.constant << i for i, st in enumerate(statuses) if st)
+            assert supported == any(st.support for st in statuses if st)
+            assert spec.is_plain == (mask == 0 and not supported)
+
+
 class TestReedMuller:
     def test_full_order_is_rate_one(self):
         assert from_rm(4, 4).k == 16

@@ -731,6 +731,37 @@ class TestAffineSum:
             assert rows and all(type(row) is tuple and row for row in rows)
             assert cache.steps.hits > 0
 
+    def test_top_node_found_under_any_basis_of_its_span(self, monkeypatch):
+        # a basis given reduced in ascending order (as the direct route
+        # builds its unit vectors), reordered or unreduced reaches the one
+        # top node of its span with the identical sum; the node is marked
+        # shared on its second call, and once it is, a reduced basis skips
+        # the reduction and ``_node``: a repeat is one recursion step
+        rng = random.Random(28)
+        reduced = tuple(_rref(rng.getrandbits(32) for _ in range(8)))
+        offset = rng.getrandbits(32)
+        expected = WeightEnumerator.zero()
+        for p in span(offset, reduced):
+            expected = expected + coset_wef(32, 32, p)
+        ascending = list(reduced[::-1])
+        reordered = list(reduced[3:] + reduced[:3])
+        unreduced = [reduced[0] ^ reduced[1], *reduced[1:]]
+        cache = CosetCache()
+        results = [affine_sum(32, 32, offset, ascending, cache)]
+        top = cache.nodes[32, 32, reduced, 1]
+        assert not top.shared
+        results.append(affine_sum(32, 32, offset, ascending, cache))
+        assert top.shared
+        results += [affine_sum(32, 32, offset, b, cache) for b in (reordered, unreduced)]
+        assert results == [expected] * 4
+        assert [key for key in cache.nodes if key[:2] == (32, 32)] == [(32, 32, reduced, 1)]
+        assert cache.nodes[32, 32, reduced, 1] is top
+        steps = count_sets(monkeypatch)
+        for name in ("_rref", "_node"):
+            monkeypatch.setattr(coset, name, lambda *_, _n=name: pytest.fail(f"{_n} called"))
+        assert affine_sum(32, 32, offset, ascending, cache) == expected
+        assert steps == [top]
+
     def test_plan_shared_across_block_lengths(self):
         # a plan depends on (length, basis) only, so the node of each block
         # length splits the sets alike

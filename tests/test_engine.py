@@ -136,12 +136,11 @@ class TestDirect:
         assert wef_direct(hamming16_spec, threads=threads) == HAMMING16_WEF
 
     def test_builds_prefix_set_in_one_pass(self, hamming16_spec, monkeypatch):
-        # one causal pass resolves each frozen bit of u_0..u_s once
+        # a spec with no support reads its set off the cached constants
+        # mask: no frozen bit resolves its constraint
         calls, wef, stats = _direct_constraint_calls(hamming16_spec, monkeypatch)
         assert wef == HAMMING16_WEF
-        s = profile(hamming16_spec).s
-        assert calls == [i for i in hamming16_spec.frozen if i <= s]
-        assert len(calls) == 5
+        assert calls == []
         assert stats.cosets_evaluated == 16
 
     def test_prefix_set_matches_reference_prefixes(self):
@@ -208,17 +207,41 @@ class TestDirect:
             assert multiplier == 1
             assert (offset, basis) == _transposed_set(spec, prof)
 
+    def test_support_free_set_is_the_transposed_pass(self, monkeypatch):
+        # a spec with constants but no support reads its set off the
+        # constants mask: the same offset and basis, in order, as the causal
+        # pass, with no constraint resolved
+        rng = random.Random(28)
+        specs = []
+        for m in range(2, 8):
+            n = 1 << m
+            for _ in range(8):
+                unfrozen = set(rng.sample(range(n), rng.randrange(1, n)))
+                statuses = [
+                    None if i in unfrozen else FreezeConstraint(i, constant=rng.randrange(2))
+                    for i in range(n)
+                ]
+                specs.append(CodeSpec(m, tuple(statuses)))
+        monkeypatch.setattr(FreezeConstraint, "value", lambda *_: pytest.fail("resolved"))
+        sets = [list(_direct_sets(spec, profile(spec))) for spec in specs]
+        monkeypatch.undo()
+        for spec, ((offset, basis, multiplier),) in zip(specs, sets):
+            assert multiplier == 1
+            assert (offset, basis) == _transposed_set(spec, profile(spec))
+
     @pytest.mark.parametrize("code", ["pac", "pinned polar"])
     def test_constraints_resolved_once_per_frozen_bit(self, code, polar128_spec, monkeypatch):
         # the direct route calls FreezeConstraint.value once per frozen
-        # index <= s, which perfbench reads as codespec.constraint_value_calls
+        # index <= s on a spec with a support, and never on one without
+        # (pinned red rows carry constants only), which perfbench reads as
+        # codespec.constraint_value_calls
         if code == "pac":
             spec = pac_spec(5, from_rm(2, 5).unfrozen, [1, 0, 1, 1, 0, 1, 1])
         else:
             spec = _pin_red_rows(polar128_spec, profile(polar128_spec).gamma - 8, 0x5A5A5A5A5A)
         s = profile(spec).s
         calls, wef, stats = _direct_constraint_calls(spec, monkeypatch)
-        assert calls == [i for i in spec.frozen if i <= s]
+        assert calls == ([i for i in spec.frozen if i <= s] if code == "pac" else [])
         assert stats.cosets_evaluated == 1 << profile(spec).gamma
         assert wef.eval_at_one() == 1 << spec.k
 
