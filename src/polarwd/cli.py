@@ -151,7 +151,7 @@ def _cmd_mixing_factor(args: argparse.Namespace) -> int:
 def _cmd_max_mixing_factor(args: argparse.Namespace) -> int:
     if args.m < 1:
         raise CliError("bad_m", "m must be at least 1")
-    # the search grows 3.3-4x per step of m (12 s at m = 14 on a 2-vCPU VM)
+    # the search grows 2-4x per step of m (2 s at m = 16 on a 2-vCPU VM)
     if args.m > MAX_JSON_M:
         raise CliError("bad_m", f"m={args.m} exceeds the limit of {MAX_JSON_M}")
     if args.rate_half:

@@ -14,11 +14,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
-import numpy as np
-
 from .coset import _rref
 from .monomials import Monomial, _generators_present, is_decreasing
-from .transform import MATRIX_GUARD_M, generator_matrix
+from .transform import MATRIX_GUARD_M, encode
 
 # spec_from_json refuses larger m: the statuses alone would take 2^m objects.
 MAX_JSON_M = 16
@@ -290,6 +288,13 @@ def _row_space_spec(m: int, rows: Sequence[int], label: str) -> CodeSpec:
     return CodeSpec(m, statuses, label)
 
 
+def _listed(x):
+    """``x`` through its ``tolist`` (arrays, array scalars); a tuple as a list."""
+
+    x = x.tolist() if hasattr(x, "tolist") else x
+    return list(x) if isinstance(x, tuple) else x
+
+
 def from_generator_matrix(gen: Sequence[Sequence[int]]) -> CodeSpec:
     """Represent the row space of a full-rank k x n matrix as a dynamic spec.
 
@@ -299,17 +304,20 @@ def from_generator_matrix(gen: Sequence[Sequence[int]]) -> CodeSpec:
     integers 0 or 1 (bools included).
     """
 
-    g = np.array(gen)
-    if g.ndim != 2:
+    g = _listed(gen)
+    g = [_listed(r) for r in g] if type(g) is list else []
+    g = [[_listed(b) for b in r] if type(r) is list else r for r in g]
+    if not g or any(type(r) is not list or len(r) != len(g[0]) or list in map(type, r) for r in g):
         raise ValueError("generator matrix must be two-dimensional")
-    if g.dtype.kind not in "biu" or not np.isin(g, (0, 1)).all():
+    k, n = len(g), len(g[0])
+    if not n or any(not isinstance(b, int) or b not in (0, 1) for r in g for b in r):
         raise ValueError("generator matrix entries must be the integers 0 or 1")
-    k, n = g.shape
-    if n < 1 or n & (n - 1):
+    if n & (n - 1):
         raise ValueError(f"block length {n} is not a power of two")
     m = n.bit_length() - 1
-    u_rows = (g.astype(np.uint8) @ generator_matrix(m)) % 2
-    rows = _rref(int("".join(map(str, row)), 2) for row in u_rows)
+    # ``encode`` puts position i at bit i, ``_rref`` at bit n-1-i
+    u_rows = encode((int("".join(map(str, map(int, reversed(row)))), 2) for row in g), m)
+    rows = _rref(int(format(u, f"0{n}b")[::-1], 2) for u in u_rows)
     if len(rows) < k:
         raise ValueError(f"generator matrix has rank {len(rows)}, expected {k}")
     return _row_space_spec(m, rows, f"generator({n},{k})")

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-
-import numpy as np
 from enum import Enum
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -225,17 +223,26 @@ def _incomparable_above_counts(m: int) -> list[int]:
     """For each row index t, count rows above t incomparable with t.
 
     Each row's ``_suffix_counts`` turn every comparison into a componentwise
-    vector domination, done here with one vectorized pass per candidate tau.
+    vector domination, an AND of int bitsets (bit i for row i): per
+    threshold x and count v, the rows counting at most, or at least, v at x.
     """
 
     n = 1 << m
-    counts_matrix = np.array([_suffix_counts((n - 1) ^ i, m) for i in range(n)], dtype=np.int16)
+
+    def rows(x: int, low: int, high: int) -> int:
+        # row i counts the bits of n-1-i from x up; n-1-i is its string index
+        runs = (("1" if low <= h.bit_count() <= high else "0") * (1 << x) for h in range(n >> x))
+        return int("".join(runs), 2)
+
+    at_most = [[rows(x, 0, v) for v in range(m + 1)] for x in range(m)]
+    at_least = [[rows(x, v, m) for v in range(m + 1)] for x in range(m)]
     out = [0] * n
     for t in range(1, n):
-        above = counts_matrix[:t]
-        le = (above <= counts_matrix[t]).all(axis=1)
-        ge = (above >= counts_matrix[t]).all(axis=1)
-        out[t] = int((~(le | ge)).sum())
+        le = ge = (1 << t) - 1
+        for x, v in enumerate(_suffix_counts((n - 1) ^ t, m)):
+            le &= at_most[x][v]
+            ge &= at_least[x][v]
+        out[t] = t - (le | ge).bit_count()
     return out
 
 

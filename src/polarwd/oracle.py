@@ -1,74 +1,68 @@
 """Brute-force ground truth: enumerate codewords or coset members and tally weights.
 
 Everything here is deliberately straightforward; the recursive engine is
-validated against these enumerations, never the other way around.
+validated against these enumerations, never the other way around.  Words
+are ints, bit i for position i, visited in Gray-code order, one xor each.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Iterator, Sequence
 
-import numpy as np
-
 from .codespec import CodeSpec
-from .transform import generator_matrix
+from .transform import encode
 from .wef import WeightEnumerator
 
 DEFAULT_K_GUARD = 24
 DEFAULT_N_GUARD = 4096
-
-_CHUNK_BITS = 16
 
 
 class GuardExceeded(RuntimeError):
     """Enumeration would exceed the configured brute-force budget."""
 
 
-def message_map(spec: CodeSpec) -> tuple[np.ndarray, np.ndarray]:
+def message_map(spec: CodeSpec) -> tuple[list[int], int]:
     """Affine map from the k free bits to the information vector u.
 
-    Returns (M, t) with u = msg @ M xor t; frozen positions resolve their
-    constraints causally, so each column is a xor of earlier columns.
+    Returns (rows, t): u is t xor the rows of the message's set bits.  A
+    frozen bit of each is the parity of its earlier support bits (t adds
+    the constant).
     """
 
-    n = spec.n
-    k = spec.k
-    m_cols = np.zeros((k, n), dtype=np.uint8)
-    t = np.zeros(n, dtype=np.uint8)
-    msg_idx = 0
+    rows: list[int] = []
+    t = 0
     for i, st in enumerate(spec.statuses):
         if st is None:
-            m_cols[msg_idx, i] = 1
-            msg_idx += 1
+            rows.append(1 << i)
         else:
-            col = np.zeros(k, dtype=np.uint8)
-            const = st.constant
-            for j in st.support:
-                col ^= m_cols[:, j]
-                const ^= int(t[j])
-            m_cols[:, i] = col
-            t[i] = const
-    return m_cols, t
+            support = sum(1 << j for j in st.support)
+            rows = [r | ((r & support).bit_count() & 1) << i for r in rows]
+            t |= ((t & support).bit_count() & 1 ^ st.constant) << i
+    return rows, t
 
 
-def _message_chunks(k: int) -> Iterator[np.ndarray]:
-    """All 2^k messages as uint8 bit arrays, in chunks to bound memory."""
+def _gray_words(rows: Sequence[int], offset: int) -> Iterator[int]:
+    """offset xor each of the 2^k sums of ``rows``, in Gray-code order."""
 
-    chunk_k = min(k, _CHUNK_BITS)
-    base = np.zeros((1 << chunk_k, chunk_k), dtype=np.uint8)
-    for b in range(chunk_k):
-        base[:, b] = (np.arange(1 << chunk_k) >> b) & 1
-    if k == chunk_k:
-        yield base
-        return
-    for high in range(1 << (k - chunk_k)):
-        high_bits = np.array(
-            [(high >> b) & 1 for b in range(k - chunk_k)], dtype=np.uint8
-        )
-        chunk = np.empty((1 << chunk_k, k), dtype=np.uint8)
-        chunk[:, :chunk_k] = base
-        chunk[:, chunk_k:] = high_bits
-        yield chunk
+    word = offset
+    yield word
+    for step in range(1, 1 << len(rows)):
+        word ^= rows[(step & -step).bit_length() - 1]
+        yield word
+
+
+def _tally(words: Iterator[int], n: int) -> WeightEnumerator:
+    counts = Counter(map(int.bit_count, words))
+    return WeightEnumerator([counts[w] for w in range(n + 1)])
+
+
+def _codeword_span(spec: CodeSpec) -> tuple[list[int], int]:
+    """The code's generator rows and offset (t G_n) as words."""
+
+    rows, t = message_map(spec)
+    *rows, offset = encode(rows + [t], spec.m)
+    return rows, offset
 
 
 def brute_force_wef(
@@ -82,20 +76,7 @@ def brute_force_wef(
         raise GuardExceeded(f"dimension {spec.k} exceeds brute-force guard {k_guard}")
     if spec.n > n_guard:
         raise GuardExceeded(f"length {spec.n} exceeds brute-force guard {n_guard}")
-    m_cols, t = message_map(spec)
-    gn = generator_matrix(spec.m)
-    rows = (m_cols @ gn) % 2
-    offset = (t @ gn) % 2
-    counts = np.zeros(spec.n + 1, dtype=object)
-    if spec.k == 0:
-        counts[int(offset.sum())] = 1
-        return WeightEnumerator(list(counts))
-    for chunk in _message_chunks(spec.k):
-        words = (chunk.astype(np.int64) @ rows + offset) % 2
-        weights = words.sum(axis=1)
-        tally = np.bincount(weights, minlength=spec.n + 1)
-        counts += tally
-    return WeightEnumerator([int(c) for c in counts])
+    return _tally(_gray_words(*_codeword_span(spec)), spec.n)
 
 
 def brute_force_coset_wef(
@@ -114,22 +95,9 @@ def brute_force_coset_wef(
         raise ValueError("prefix too long")
     if free > guard:
         raise GuardExceeded(f"{free} free suffix bits exceed guard {guard}")
-    m = n.bit_length() - 1
-    gn = generator_matrix(m)
-    fixed = np.zeros(n, dtype=np.uint8)
-    for j, b in enumerate(list(prefix) + [last_bit]):
-        if b:
-            fixed ^= gn[j]
-    suffix_rows = gn[i + 1 :]
-    counts = np.zeros(n + 1, dtype=object)
-    if free == 0:
-        counts[int(fixed.sum())] = 1
-        return WeightEnumerator(list(counts))
-    for chunk in _message_chunks(free):
-        words = (chunk.astype(np.int64) @ suffix_rows + fixed) % 2
-        tally = np.bincount(words.sum(axis=1), minlength=n + 1)
-        counts += tally
-    return WeightEnumerator([int(c) for c in counts])
+    fixed = sum(1 << j for j, b in enumerate([*prefix, last_bit]) if b)
+    offset, *rows = encode([fixed, *(1 << j for j in range(i + 1, n))], n.bit_length() - 1)
+    return _tally(_gray_words(rows, offset), n)
 
 
 def codewords(spec: CodeSpec, k_guard: int = DEFAULT_K_GUARD) -> set[tuple[int, ...]]:
@@ -137,12 +105,8 @@ def codewords(spec: CodeSpec, k_guard: int = DEFAULT_K_GUARD) -> set[tuple[int, 
 
     if spec.k > k_guard:
         raise GuardExceeded(f"dimension {spec.k} exceeds brute-force guard {k_guard}")
-    m_cols, t = message_map(spec)
-    gn = generator_matrix(spec.m)
-    rows = (m_cols @ gn) % 2
-    offset = (t @ gn) % 2
-    out = set()
-    for chunk in _message_chunks(spec.k):
-        words = (chunk.astype(np.int64) @ rows + offset) % 2
-        out.update(map(tuple, words.astype(int).tolist()))
-    return out
+    n = spec.n
+    return {
+        tuple(map(int, format(w, f"0{n}b")[::-1]))
+        for w in _gray_words(*_codeword_span(spec))
+    }

@@ -3,10 +3,12 @@
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import polarwd
 from polarwd import WeightEnumerator, from_unfrozen_set
+from polarwd.transform import bit_reversal_permutation
 
 # (16,11) extended Hamming code as a polar/decreasing monomial code
 HAMMING16_UNFROZEN = (3, 5, 6, 7, 9, 10, 11, 12, 13, 14, 15)
@@ -56,6 +58,17 @@ POLAR128_WD = {
     120: 48,
     128: 1,
 }
+
+
+def generator_matrix(m: int) -> np.ndarray:
+    """Reference G_n: the bit-reversal permutation times the m-th Kronecker
+    power of [[1,0],[1,1]], as a 2^m x 2^m uint8 array."""
+
+    k2 = np.array([[1, 0], [1, 1]], dtype=np.uint8)
+    kron = np.array([[1]], dtype=np.uint8)
+    for _ in range(m):
+        kron = np.kron(k2, kron)
+    return kron[bit_reversal_permutation(m), :]
 
 
 @pytest.fixture

@@ -1,3 +1,4 @@
+import functools
 import random
 
 import numpy as np
@@ -20,10 +21,9 @@ from polarwd.codespec import (
     from_generator_matrix,
     spec_to_json,
 )
-from polarwd.transform import generator_matrix
 from polarwd.oracle import codewords
 
-from conftest import HAMMING16_UNFROZEN
+from conftest import HAMMING16_UNFROZEN, generator_matrix
 
 
 class TestFreezeConstraint:
@@ -157,6 +157,47 @@ class TestGeneratorMatrix:
     def test_bool_entries_accepted(self):
         spec = from_generator_matrix([[True, True]])
         assert spec.statuses == from_generator_matrix([[1, 1]]).statuses
+
+    @pytest.mark.parametrize(
+        "gen",
+        [
+            [[np.True_, np.True_]],
+            [[np.int64(1), np.uint8(1)]],
+            ((1, 1),),
+            np.array([[1, 1]], dtype=np.uint8),
+            np.array([[1, 1]], dtype=np.int64),
+            np.array([[True, True]]),
+        ],
+        ids=["numpy-bools", "numpy-ints", "tuples", "uint8", "int64", "bool"],
+    )
+    def test_array_and_scalar_forms_accepted(self, gen):
+        assert from_generator_matrix(gen).statuses == from_generator_matrix([[1, 1]]).statuses
+
+    @pytest.mark.parametrize(
+        "gen, message",
+        [
+            (5, "two-dimensional"),
+            ([], "two-dimensional"),
+            ([[[1]]], "two-dimensional"),
+            (functools.reduce(lambda x, _: [x], range(2000), 1), "two-dimensional"),
+            ([[1, 0], [1]], "two-dimensional"),
+            (["11"], "two-dimensional"),
+            (np.array([1, 1]), "two-dimensional"),
+            ([[]], "0 or 1"),
+            ([[1, 0.5]], "0 or 1"),
+            ([["1"]], "0 or 1"),
+            ([[None, 1]], "0 or 1"),
+            ([[1.0, 1.0]], "0 or 1"),
+            ([[np.float64(1), np.float64(1)]], "0 or 1"),
+            (np.ones((1, 2)), "0 or 1"),
+            ([[1, 0, 1]], "block length 3 is not a power of two"),
+            ([[1, 1], [1, 1]], "rank 1, expected 2"),
+            ([[1, 0], [0, 1], [1, 1]], "rank 2, expected 3"),
+        ],
+    )
+    def test_malformed_input_rejected(self, gen, message):
+        with pytest.raises(ValueError, match=message):
+            from_generator_matrix(gen)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_matrix_codeword_set_preserved(self, seed):

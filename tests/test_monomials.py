@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +13,8 @@ from polarwd import (
 )
 from polarwd.monomials import (
     Order,
+    _incomparable_above_counts,
+    _suffix_counts,
     compare,
     is_decreasing,
     precedes,
@@ -258,7 +261,26 @@ class TestOrderProperties:
                 assert single_shift_le(f, g) == (f in expected), (f, g)
 
 
+def _vectorised_incomparable_above_counts(m: int) -> list[int]:
+    """Reference: each row's suffix counts as one array row, and for each t
+    one vectorised domination test against every row above t."""
+
+    n = 1 << m
+    counts_matrix = np.array([_suffix_counts((n - 1) ^ i, m) for i in range(n)], dtype=np.int16)
+    out = [0] * n
+    for t in range(1, n):
+        above = counts_matrix[:t]
+        le = (above <= counts_matrix[t]).all(axis=1)
+        ge = (above >= counts_matrix[t]).all(axis=1)
+        out[t] = int((~(le | ge)).sum())
+    return out
+
+
 class TestMixingFactorExtremals:
+    @pytest.mark.parametrize("m", range(0, 11))
+    def test_counts_match_vectorised_reference(self, m):
+        assert _incomparable_above_counts(m) == _vectorised_incomparable_above_counts(m)
+
     @pytest.mark.parametrize("m,expected", [(1, 0), (2, 0), (5, 11)])
     def test_spot_values(self, m, expected):
         assert max_mixing_factor(m)[0] == expected
