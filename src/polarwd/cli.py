@@ -79,8 +79,13 @@ def _check_out(out: Optional[str]) -> None:
         os.remove(out)
 
 
-def _emit(payload: dict, out: Optional[str]) -> None:
-    text = json.dumps(payload, indent=2) + "\n"
+def _emit(text: str, out: Optional[str]) -> None:
+    """Write a command's output text to ``out``, or to stdout without one.
+
+    ``wef`` and ``brute-force`` pass their enumerator text (``_wef_text``),
+    every other command ``_json_text`` of its payload.
+    """
+
     if out:
         try:
             with open(out, "w") as fh:
@@ -101,17 +106,32 @@ def _progress_printer(enabled: bool):
     return report
 
 
-def _wef_payload(spec: CodeSpec, wef: WeightEnumerator, route: str, cosets: int) -> dict:
-    return {
-        "n": spec.n,
-        "k": spec.k,
-        "route": route,
-        "cosets_evaluated": str(cosets),
-        "wef": wef.to_pairs(),
-    }
+def _json_text(payload: dict) -> str:
+    return json.dumps(payload, indent=2) + "\n"
+
+
+# one (weight, count) pair of ``_wef_text``, as ``json.dumps`` indents it
+_PAIR = '    [\n      %d,\n      "%d"\n    ]'
+
+
+def _wef_text(spec: CodeSpec, wef: WeightEnumerator, route: str, cosets: int) -> str:
+    """``_json_text`` of {"n", "k", "route", "cosets_evaluated", "wef"}, with
+    the counts as decimal strings, written directly: with an indent,
+    ``json.dumps`` runs its pure-Python encoder, which costs several times
+    one format string per pair.  The text is byte for byte the same,
+    ``"wef": []`` included."""
+
+    pairs = ",\n".join([_PAIR % pair for pair in wef.items()])
+    head = (
+        f'{{\n  "n": {spec.n},\n  "k": {spec.k},\n  "route": {json.dumps(route)},\n'
+        f'  "cosets_evaluated": "{cosets}",\n  "wef": '
+    )
+    return head + (f"[\n{pairs}\n  ]" if pairs else "[]") + "\n}\n"
 
 
 def _cmd_wef(args: argparse.Namespace) -> int:
+    if args.budget < 0:
+        raise CliError("bad_budget", "budget must be non-negative")
     spec = _load_spec(args.spec)
     progress = _progress_printer(args.progress)
     try:
@@ -129,7 +149,7 @@ def _cmd_wef(args: argparse.Namespace) -> int:
     except ValueError as exc:
         # e.g. MacWilliams rejecting a dual enumerator the engine produced
         raise CliError("internal_invariant", str(exc), EXIT_INTERNAL) from exc
-    _emit(_wef_payload(spec, wef, report.route, report.cosets_evaluated), args.out)
+    _emit(_wef_text(spec, wef, report.route, report.cosets_evaluated), args.out)
     return EXIT_OK
 
 
@@ -138,7 +158,7 @@ def _cmd_cost(args: argparse.Namespace) -> int:
     payload: dict = {"n": spec.n, "k": spec.k}
     for key, count in asdict(estimate_cost(spec)).items():
         payload[key] = None if count is None else str(count)
-    _emit(payload, args.out)
+    _emit(_json_text(payload), args.out)
     return EXIT_OK
 
 
@@ -181,7 +201,7 @@ def _cmd_is_decreasing(args: argparse.Namespace) -> int:
     payload: dict = {"decreasing": ok}
     if witness is not None:
         payload["counterexample"] = [str(witness[0]), str(witness[1])]
-    _emit(payload, None)
+    _emit(_json_text(payload), None)
     return EXIT_OK
 
 
@@ -191,7 +211,7 @@ def _cmd_brute_force(args: argparse.Namespace) -> int:
         wef = brute_force_wef(spec)
     except GuardExceeded as exc:
         raise CliError("guard_exceeded", str(exc), EXIT_BUDGET) from exc
-    _emit(_wef_payload(spec, wef, "brute-force", 0), args.out)
+    _emit(_wef_text(spec, wef, "brute-force", 0), args.out)
     return EXIT_OK
 
 
@@ -201,7 +221,7 @@ def _cmd_dual(args: argparse.Namespace) -> int:
         dual = dual_spec(spec)
     except ValueError as exc:
         raise CliError("spec_invalid", str(exc)) from exc
-    _emit(spec_to_json(dual), args.out)
+    _emit(_json_text(spec_to_json(dual)), args.out)
     return EXIT_OK
 
 

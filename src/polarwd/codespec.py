@@ -8,6 +8,7 @@ convolutional precoding, and arbitrary binary linear codes.
 
 from __future__ import annotations
 
+import functools
 import operator
 import re
 from dataclasses import dataclass
@@ -49,6 +50,23 @@ class FreezeConstraint:
         return v
 
 
+@functools.cache
+def _plain_constraint(target: int) -> FreezeConstraint:
+    """The plain constraint u_target = 0 (no support, constant 0), built once
+    per process: a constraint is an immutable value that compares by value,
+    so every spec that freezes ``target`` to 0 shares this one object.
+
+    Every plain constraint is made here: by ``from_frozen_set`` and
+    ``from_unfrozen_set``, for the unlisted indices of a ``"constraints"``
+    spec, by ``with_frozen(i, 0)`` with no support and for an empty support
+    in ``_row_space_spec``.  The saving needs more than one spec per
+    process; a spec and its dual share the constraints where their frozen
+    sets overlap.
+    """
+
+    return FreezeConstraint(target)
+
+
 @dataclass(frozen=True)
 class Profile:
     """The unfrozen (red) bits before the last frozen bit; gamma counts them."""
@@ -66,6 +84,8 @@ class CodeSpec:
     constraints' constants and supports (whether it is plain), whether its
     unfrozen set is decreasing, its orbit split and its dual are worked out
     once per instance: route selection and the routes themselves all ask.
+    ``_dual`` hands this spec's decreasing status to the dual it builds, so
+    the check runs once per spec and dual.
     """
 
     m: int
@@ -177,7 +197,13 @@ class CodeSpec:
     def _dual(self) -> "CodeSpec":
         unfrozen = {self.n - 1 - i for i in self.frozen}
         label = f"dual({self.label})" if self.label else ""
-        return from_unfrozen_set(self.m, unfrozen, label)
+        dual = from_unfrozen_set(self.m, unfrozen, label)
+        # complementing monomials reverses the order, so the dual's unfrozen
+        # masks (the complements of this spec's frozen ones) are a down-set
+        # exactly when this spec's are; stored where ``cached_property``
+        # looks first
+        dual.__dict__["_decreasing"] = self._decreasing
+        return dual
 
     def with_frozen(
         self, index: int, constant: int, support: Iterable[int] = ()
@@ -187,7 +213,12 @@ class CodeSpec:
         if self.statuses[index] is not None:
             raise ValueError(f"index {index} is already frozen")
         statuses = list(self.statuses)
-        statuses[index] = FreezeConstraint(index, frozenset(support), constant)
+        support = frozenset(support)
+        statuses[index] = (
+            FreezeConstraint(index, support, constant)
+            if support or constant
+            else _plain_constraint(index)
+        )
         return CodeSpec(self.m, tuple(statuses), self.label)
 
 
@@ -198,18 +229,19 @@ def from_frozen_set(m: int, frozen: Iterable[int], label: str = "") -> CodeSpec:
     frozen_set = set(frozen)
     if any(i < 0 or i >= n for i in frozen_set):
         raise ValueError("frozen index out of range")
-    statuses = tuple(
-        FreezeConstraint(i) if i in frozen_set else None for i in range(n)
-    )
+    statuses = tuple(_plain_constraint(i) if i in frozen_set else None for i in range(n))
     return CodeSpec(m, statuses, label)
 
 
 def from_unfrozen_set(m: int, unfrozen: Iterable[int], label: str = "") -> CodeSpec:
+    """Plain spec freezing every index but the given ones to zero."""
+
     n = 1 << m
     unfrozen_set = set(unfrozen)
     if any(i < 0 or i >= n for i in unfrozen_set):
         raise ValueError("unfrozen index out of range")
-    return from_frozen_set(m, set(range(n)) - unfrozen_set, label)
+    statuses = tuple(None if i in unfrozen_set else _plain_constraint(i) for i in range(n))
+    return CodeSpec(m, statuses, label)
 
 
 def profile(spec: CodeSpec) -> Profile:
@@ -253,7 +285,9 @@ def from_bhattacharyya_bec(m: int, k: int, erasure: float) -> CodeSpec:
     if not 0 <= k <= n:
         raise ValueError(f"dimension {k} out of range for n={n}")
     zs = bec_bhattacharyya(m, erasure)
-    ranked = sorted(range(n), key=lambda i: (zs[i], -i))
+    # the sort is stable: among equal parameters the larger index, listed
+    # first, stays first
+    ranked = sorted(range(n - 1, -1, -1), key=zs.__getitem__)
     unfrozen = ranked[:k]
     spec = from_unfrozen_set(m, unfrozen, label=f"bec(m={m},k={k})")
     if not spec.is_decreasing_code():
@@ -283,7 +317,8 @@ def _row_space_spec(m: int, rows: Sequence[int], label: str) -> CodeSpec:
         for i in rest:
             supports[i].append(pivot)
     statuses = tuple(
-        None if s is None else FreezeConstraint(i, frozenset(s)) for i, s in enumerate(supports)
+        None if s is None else FreezeConstraint(i, frozenset(s)) if s else _plain_constraint(i)
+        for i, s in enumerate(supports)
     )
     return CodeSpec(m, statuses, label)
 
@@ -377,7 +412,10 @@ def spec_from_json(obj: dict) -> CodeSpec:
 
     Integer fields are read with ``operator.index``: a float or a string
     where an integer belongs raises TypeError instead of being truncated
-    (bools count as integers), and so does a string erasure.
+    (bools count as integers), and so does a string erasure.  A spec without
+    a construction names ``"frozen"``, ``"unfrozen"`` or ``"constraints"``
+    (with an optional ``"unfrozen"``); ``"frozen"`` next to either of the
+    others raises ValueError.
     """
 
     if not isinstance(obj, dict):
@@ -402,6 +440,10 @@ def spec_from_json(obj: dict) -> CodeSpec:
     if construction is not None:
         raise ValueError(f"unknown construction {construction!r}")
 
+    if "frozen" in obj:
+        for other in ("constraints", "unfrozen"):
+            if other in obj:
+                raise ValueError(f"a spec names 'frozen' or {other!r}, not both")
     m = _json_m(obj)
     n = 1 << m
     if "constraints" in obj:
@@ -427,7 +469,7 @@ def spec_from_json(obj: dict) -> CodeSpec:
             constrained.add(target)
         for i in range(n):
             if i not in unfrozen and i not in constrained:
-                statuses[i] = FreezeConstraint(i)
+                statuses[i] = _plain_constraint(i)
         if unfrozen & constrained:
             raise ValueError("an index appears as both unfrozen and constrained")
         return CodeSpec(m, tuple(statuses))

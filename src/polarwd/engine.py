@@ -73,7 +73,7 @@ class Report:
     cosets_evaluated: int
 
 
-def _lta_route(spec: CodeSpec, prof: Profile) -> Optional[tuple[int, list[PrefixSet]]]:
+def _lta_route(spec: CodeSpec, prof: Profile) -> Optional[tuple[int, Iterator[PrefixSet]]]:
     """The reduced route on ``spec``: None unless the spec is plain and
     decreasing, else its coset count and its (offset, basis, multiplier)
     sets.
@@ -82,18 +82,26 @@ def _lta_route(spec: CodeSpec, prof: Profile) -> Optional[tuple[int, list[Prefix
     per spec) is one set, offset 1 << f plus the span of its free red rows'
     unit vectors, counted 2^{|S|} times; the all-zero coset (every red row
     frozen to 0, and u_s = 0 because the spec is plain) completes the
-    list.  A rate-one code has no sets and no cosets.
+    list.  The count is read off the split, 2^{free rows} per orbit plus
+    one; the sets are yielded, so that a caller that only wants the count
+    (``estimate_cost``) builds none and ``_sum_sets`` builds them after its
+    budget check.  A rate-one code has no sets and no cosets.
     """
 
     if not (spec.is_plain and spec.is_decreasing_code()):
         return None
     if prof.s is None:
-        return 0, []
-    sets: list[PrefixSet] = [
-        (1 << f, [1 << i for i in free], 1 << shifts) for f, free, shifts in spec._orbits
-    ]
-    sets.append((0, (), 1))
-    return sum(1 << len(basis) for _, basis, _ in sets), sets
+        return 0, iter(())
+    orbits = spec._orbits
+    return sum(1 << len(free) for _, free, _ in orbits) + 1, _lta_sets(orbits)
+
+
+def _lta_sets(orbits: Sequence[tuple[int, tuple[int, ...], int]]) -> Iterator[PrefixSet]:
+    """The sets of ``_lta_route``, one per orbit, then the all-zero coset."""
+
+    for f, free, shifts in orbits:
+        yield 1 << f, [1 << i for i in free], 1 << shifts
+    yield 0, (), 1
 
 
 def _direct_cosets(prof: Profile) -> int:
@@ -104,7 +112,12 @@ def _direct_cosets(prof: Profile) -> int:
 
 
 def estimate_cost(spec: CodeSpec) -> CostEstimate:
-    """Coset counts for direct, reduced, and dual strategies, where defined."""
+    """Coset counts for direct, reduced, and dual strategies, where defined.
+
+    The reduced counts come from ``_lta_route``, whose sets are never
+    started here; the dual is built once per spec (``dual_spec``) and the
+    route that runs on it reuses it.
+    """
 
     counts: list[Optional[int]] = []
     for target in (spec, dual_spec(spec)) if spec.is_plain else (spec,):

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from polarwd import WeightEnumerator
 from polarwd.codespec import CodeSpec
-from polarwd.cli import _parser, run
+from polarwd.cli import _parser, _wef_text, run
 
 from conftest import HAMMING16_UNFROZEN
 
@@ -95,7 +96,9 @@ class TestWef:
     def test_decreasing_checked_once_per_spec(self, capsys, tmp_path, monkeypatch, obj, route):
         # construction, cost estimate and route all ask whether a spec is
         # decreasing, and cost estimate and route both read its orbit
-        # split; the spec and its dual each work out either once
+        # split; the spec and its dual each work out their split once, and
+        # the dual takes the spec's decreasing status, so that check runs
+        # once per pair
         computed = {name: [] for name in ("_decreasing", "_orbits")}
         for name, calls in computed.items():
             compute = getattr(CodeSpec, name).func
@@ -107,7 +110,7 @@ class TestWef:
         code, out, _ = invoke(capsys, "wef", "--spec", str(path), "--allow-dual")
         assert code == 0 and json.loads(out)["route"] == route
         assert {name: len(calls) for name, calls in computed.items()} == {
-            "_decreasing": 2,
+            "_decreasing": 1,
             "_orbits": 2,
         }
 
@@ -117,6 +120,22 @@ class TestWef:
         )
         assert code == 2
         assert "ERROR[budget_exceeded]" in err
+
+    def test_negative_budget_is_a_usage_error(self, capsys, monkeypatch, hamming16_file):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the spec was loaded before the budget was checked")
+
+        monkeypatch.setattr("polarwd.cli._load_spec", refuse)
+        code, out, err = invoke(capsys, "wef", "--spec", hamming16_file, "--budget", "-1")
+        assert (code, out, err) == (1, "", "ERROR[bad_budget] budget must be non-negative\n")
+
+    def test_zero_budget_fits_only_rate_one(self, capsys, tmp_path, hamming16_file):
+        path = tmp_path / "rate_one.json"
+        path.write_text(json.dumps({"m": 3, "frozen": []}))
+        code, out, _ = invoke(capsys, "wef", "--spec", str(path), "--budget", "0")
+        assert code == 0 and json.loads(out)["cosets_evaluated"] == "0"
+        code, out, err = invoke(capsys, "wef", "--spec", hamming16_file, "--budget", "0")
+        assert (code, out) == (2, "") and "ERROR[budget_exceeded]" in err
 
     def test_inadmissible_strategy_exit_1(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
@@ -215,6 +234,9 @@ class TestErrors:
             '{"m": 2, "constraints": [{"target": 2, "support": [0]}, {"target": 2}]}',
             '{"m": 3, "unfrozen": [0, 1, 2, 4, 5, 6, 7], '
             '"constraints": [{"target": 3, "support": [0, 0]}]}',
+            # "frozen" beside "unfrozen" or "constraints", neither dropped
+            '{"m": 2, "frozen": [0], "unfrozen": [0]}',
+            '{"m": 2, "frozen": [0], "constraints": [{"target": 1}]}',
         ],
     )
     def test_out_of_range_values_rejected(self, capsys, tmp_path, text):
@@ -352,6 +374,61 @@ class TestFuzzedSpecs:
         else:
             payload = json.loads(out.getvalue())
             assert sum(int(c) for _, c in payload["wef"]) == 1 << payload["k"]
+
+
+class TestOutputText:
+    """``wef`` and ``brute-force`` write their text directly; it must be byte
+    for byte what ``json.dumps(payload, indent=2)`` gives."""
+
+    def test_random_enumerators(self, hamming16_spec):
+        for seed in range(40):
+            rng = random.Random(seed)
+            # seed 0 has no pairs: "wef": []
+            coeffs = [
+                rng.choice([0, rng.getrandbits(rng.randrange(1, 140))])
+                for _ in range(0 if seed == 0 else rng.randrange(1, 70))
+            ]
+            wef = WeightEnumerator(coeffs)
+            route = rng.choice(["lta", "direct", "dual+lta", "dual+direct", "brute-force"])
+            cosets = rng.getrandbits(rng.randrange(1, 80))
+            payload = {
+                "n": hamming16_spec.n,
+                "k": hamming16_spec.k,
+                "route": route,
+                "cosets_evaluated": str(cosets),
+                "wef": wef.to_pairs(),
+            }
+            text = _wef_text(hamming16_spec, wef, route, cosets)
+            assert text == json.dumps(payload, indent=2) + "\n"
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"m": 4, "unfrozen": list(HAMMING16_UNFROZEN)},
+            # PAC(32,16)
+            {
+                "construction": "pac",
+                "m": 5,
+                "profile": [7, 11, 13, 14, 15, 19, 21, 22, 23, 25, 26, 27, 28, 29, 30, 31],
+                "taps": [1, 0, 1, 1, 0, 1, 1],
+            },
+            {"m": 3, "unfrozen": []},
+            {"m": 3, "frozen": []},
+        ],
+        ids=["hamming16", "pac32", "k0", "rate-one"],
+    )
+    @pytest.mark.parametrize(
+        "argv", [["wef"], ["wef", "--strategy", "direct"], ["wef", "--allow-dual"], ["brute-force"]]
+    )
+    def test_canonical_json(self, capsys, tmp_path, obj, argv):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = invoke(capsys, *argv, "--spec", str(path))
+        assert (code, err) == (0, "")
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+        target = tmp_path / "out.json"
+        assert invoke(capsys, *argv, "--spec", str(path), "--out", str(target)) == (0, "", "")
+        assert target.read_text() == out
 
 
 class TestOtherCommands:

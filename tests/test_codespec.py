@@ -125,6 +125,15 @@ class TestBec:
         with pytest.raises(ValueError):
             bec_bhattacharyya(2, 1.5)
 
+    @pytest.mark.parametrize("erasure", [1e-3, 0.5, 0.999])
+    def test_ties_prefer_the_larger_index(self, erasure):
+        # float rounding ties some parameters (most of them near erasure 1)
+        zs = bec_bhattacharyya(8, erasure)
+        assert len(set(zs)) < len(zs)
+        ranked = sorted(range(256), key=lambda i: (zs[i], -i))
+        for k in range(257):
+            assert set(from_bhattacharyya_bec(8, k, erasure).unfrozen) == set(ranked[:k])
+
 
 class TestGeneratorMatrix:
     def test_identity_is_rate_one(self):
@@ -326,6 +335,75 @@ class TestDual:
         assert fresh.is_decreasing_code() and dual.is_decreasing_code()
 
 
+class TestDualDecreasing:
+    """A plain spec is decreasing exactly when its dual is (complementing
+    monomials reverses the order), so ``_dual`` hands its status over; the
+    dual's own check must agree."""
+
+    @staticmethod
+    def _agree(spec):
+        dual = dual_spec(spec)
+        own = CodeSpec._decreasing.func(dual)  # the check, not the handed value
+        assert spec.is_decreasing_code() == own == dual.is_decreasing_code()
+        return own
+
+    def test_every_unfrozen_set_at_m4(self):
+        assert sum(
+            self._agree(from_unfrozen_set(4, [i for i in range(16) if bits >> i & 1]))
+            for bits in range(1 << 16)
+        ) > 1
+
+    @pytest.mark.parametrize("m", [5, 6, 7, 8])
+    def test_random_down_closures(self, m):
+        # a down-closure of a few random monomials, under deletions and
+        # adjacent lowerings (which generate the order); every other one
+        # with one monomial dropped, which is decreasing only when that
+        # monomial was maximal
+        rng = random.Random(m)
+        full = (1 << m) - 1
+        verdicts = set()
+        for trial in range(292):
+            todo = [rng.randrange(1 << m) for _ in range(rng.randrange(1, 4))]
+            closure = set()
+            while todo:
+                mask = todo.pop()
+                if mask in closure:
+                    continue
+                closure.add(mask)
+                for k in range(m):
+                    if mask >> k & 1:
+                        todo.append(mask ^ 1 << k)
+                        if k and not mask >> k - 1 & 1:
+                            todo.append(mask ^ 3 << k - 1)
+            if trial % 2:
+                closure.discard(rng.choice(sorted(closure)))
+            verdicts.add(self._agree(from_unfrozen_set(m, [full ^ g for g in closure])))
+        assert verdicts == {True, False}
+
+
+class TestPlainConstraints:
+    def test_one_object_per_index(self, hamming16_spec):
+        # every spec constructor shares the one plain constraint per index
+        plain = from_frozen_set(4, range(16)).statuses
+        specs = [
+            hamming16_spec,
+            dual_spec(hamming16_spec),
+            # the unlisted indices of a "constraints" spec
+            spec_from_json({"m": 4, "unfrozen": [15], "constraints": [{"target": 3, "support": [1]}]}),
+            from_unfrozen_set(4, range(16)).with_frozen(5, 0),
+            # the empty supports of a row space, before the first pivot
+            pac_spec(4, set(HAMMING16_UNFROZEN), [1, 1]),
+        ]
+        for spec in specs:
+            shared = [st for st in spec.statuses if st is not None and st.is_plain]
+            assert shared and all(st is plain[st.target] for st in shared)
+        assert not specs[2].is_plain and not specs[4].is_plain
+        # a constraint with a constant or a support is its own value
+        spec = from_unfrozen_set(2, range(4)).with_frozen(2, 1)
+        assert spec.statuses[2] == FreezeConstraint(2, constant=1)
+        assert spec.statuses[2] != plain[2]
+
+
 class TestJson:
     def test_plain_round_trip(self, hamming16_spec):
         assert spec_from_json(spec_to_json(hamming16_spec)).unfrozen == hamming16_spec.unfrozen
@@ -363,6 +441,21 @@ class TestJson:
             spec_from_json(
                 {"m": 2, "unfrozen": [0, 2, 3], "constraints": [{"target": 0}]}
             )
+
+    @pytest.mark.parametrize(
+        "obj, other",
+        [
+            ({"m": 2, "frozen": [0], "unfrozen": [0]}, "unfrozen"),
+            ({"m": 2, "frozen": [0], "unfrozen": [1, 2, 3]}, "unfrozen"),
+            ({"m": 2, "frozen": [1], "constraints": [{"target": 0}]}, "constraints"),
+            ({"m": 2, "frozen": [], "unfrozen": [3], "constraints": []}, "constraints"),
+        ],
+    )
+    def test_frozen_beside_unfrozen_or_constraints_rejected(self, obj, other):
+        # neither key is silently dropped; "unfrozen" with "constraints" is
+        # the constraint form
+        with pytest.raises(ValueError, match=f"'frozen' or '{other}', not both"):
+            spec_from_json(obj)
 
     def test_unknown_construction_rejected(self):
         with pytest.raises(ValueError):
