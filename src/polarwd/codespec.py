@@ -415,12 +415,17 @@ def spec_from_json(obj: dict) -> CodeSpec:
     (bools count as integers), and so does a string erasure.  A spec without
     a construction names ``"frozen"``, ``"unfrozen"`` or ``"constraints"``
     (with an optional ``"unfrozen"``); ``"frozen"`` next to either of the
-    others raises ValueError.
+    others, any of the three next to a construction, or an index listed
+    twice in ``"frozen"`` or ``"unfrozen"`` raises ValueError.
     """
 
     if not isinstance(obj, dict):
         raise ValueError("spec JSON must be an object")
     construction = obj.get("construction")
+    if construction is not None:
+        for key in ("frozen", "unfrozen", "constraints"):
+            if key in obj:
+                raise ValueError(f"a spec names 'construction' or {key!r}, not both")
     if construction == "rm":
         return from_rm(operator.index(obj["r"]), _json_m(obj))
     if construction == "bec":
@@ -447,7 +452,7 @@ def spec_from_json(obj: dict) -> CodeSpec:
     m = _json_m(obj)
     n = 1 << m
     if "constraints" in obj:
-        unfrozen = {operator.index(i) for i in obj.get("unfrozen", [])}
+        unfrozen = set(_json_indices(obj, "unfrozen"))
         if any(not 0 <= i < n for i in unfrozen):
             raise ValueError("unfrozen index out of range")
         statuses: list[Optional[FreezeConstraint]] = [None] * n
@@ -474,10 +479,21 @@ def spec_from_json(obj: dict) -> CodeSpec:
             raise ValueError("an index appears as both unfrozen and constrained")
         return CodeSpec(m, tuple(statuses))
     if "frozen" in obj:
-        return from_frozen_set(m, [operator.index(i) for i in obj["frozen"]])
+        return from_frozen_set(m, _json_indices(obj, "frozen"))
     if "unfrozen" in obj:
-        return from_unfrozen_set(m, [operator.index(i) for i in obj["unfrozen"]])
+        return from_unfrozen_set(m, _json_indices(obj, "unfrozen"))
     raise ValueError("spec JSON needs 'frozen', 'unfrozen', 'constraints', or 'construction'")
+
+
+def _json_indices(obj: dict, key: str) -> list[int]:
+    """The indices a spec lists under ``key`` (none if absent), each read
+    with ``operator.index``; one listed twice raises ValueError, as the set
+    it names would drop the repeat silently."""
+
+    indices = [operator.index(i) for i in obj.get(key, [])]
+    if len(set(indices)) < len(indices):
+        raise ValueError(f"{key!r} lists an index twice")
+    return indices
 
 
 def spec_to_json(spec: CodeSpec) -> dict:

@@ -46,8 +46,17 @@ that code, 24 dimensions natural, sums through a pairing of 8.
 
 The split of a set depends on (n, length, basis, blocks) only, not on its
 offset, with blocks = 1 for a single block.  So the cache holds one node
-per such tuple, keyed by it: its split plan (the children's bases K_v, K_w
-and the mixed generators), its two child nodes and its memo dicts (below).
+per such key, and a node has two parts.  Its plan is everything built from
+the key: the cut, the children's bases K_v and K_w, the mixed generators
+and the children's keys.  A plan holds no sum, so one table serves the
+whole process, and a cache's new node links the stored plan of its key
+instead of building it again (the 720 ``wef`` calls of the code-mix
+benchmark at seed 1, each in a fresh cache, find 8,634 of their 8,784
+nodes' plans there).
+The table stops growing at _MAX_PLANS plans, and a plan it refuses is
+rebuilt when next needed, so a full table costs speed, never exactness.
+The rest of a node is its cache's: its two child nodes in that cache and
+its memo dicts (below), so no two caches share an evaluated result.
 A step cuts one offset into its children's offsets (a natural cut takes 16
 prefix bits at a time through two 64 KiB tables, a group's cut one mask
 and one shift), reduces them, then walks its boxes against the children's
@@ -105,6 +114,7 @@ shared, and they keep 3,222 sums.
 
 from __future__ import annotations
 
+import threading
 from itertools import chain
 from typing import Callable, Iterable, Optional, Sequence, Union
 
@@ -136,36 +146,41 @@ Cosets = tuple[
     Optional[tuple[tuple[int, int], ...]],
 ]
 
+# A node's plan, everything built from its key (n, length, basis, blocks):
+# an n = 1 base node's ``free``, else (cut, K_v, K_w, low, high, (left
+# child's key, right child's key)).
+NodePlan = Union[bool, tuple[Cut, tuple[int, ...], tuple[int, ...], tuple, tuple, tuple]]
+
 # the tags of a flat mix key: of (left, right) pairs, or of block handles
 _PAIRS, _BLOCKS = 0, 1
 
 
 class _Node:
     """The affine sets offset + span(basis) of a group of ``blocks`` blocks,
-    each a ``length``-bit prefix at block length n, for every offset.  Block
-    i holds bits [i * length, (i + 1) * length) of a tuple; the basis is in
-    reduced row echelon form and its parents key the node's sets by offsets
-    reduced by it.  A one-block node splits the sets with the bits they
-    leave free below the split's width added to the basis (``_free``); the
-    blocks of a group have none free.
+    each a ``length``-bit prefix at block length n, for every offset, in one
+    cache.  Block i holds bits [i * length, (i + 1) * length) of a tuple;
+    the basis is in reduced row echelon form and its parents key the node's
+    sets by offsets reduced by it.
 
-    ``cut`` maps an offset to the offsets of the two children, the
-    sub-groups a step splits it into: ``_split`` for the natural halves,
-    else the cut that ``_choose`` built with the plan of its split, after
-    ``_quarters`` for a one-block node; the left child takes the first c
-    blocks and the right one the rest.  ``k_v`` and ``k_w`` are the
-    children's bases; ``high`` lists the mixed generators past the first
-    _LOW, and ``low`` the boxes those span, box j's (da, db) being
-    (low[0][j], low[1][j]).  ``rows[0]`` (``rows[1]``) maps a reduced left
-    (right) child offset to the handle of the row of that child's handles
-    at it xor each of ``low[0]`` (``low[1]``).  ``shared`` says whether
-    ``_node`` has returned the node more than once; only then does ``sums``
-    map offsets to the handles of their sums, and until then it stays
-    empty.  Until then the first row its one parent side asks for makes
-    ``cosets``, the coset memo of that side's rows of this node with the
-    node's reduced cut of each of the side's deltas (``_row``).  A node with ``left``
-    None is the n = 1 base case, whose sums follow the same rule; ``free``
-    says whether its one bit runs free.
+    The node links the parts of its plan (``_node_plan``), which it shares
+    with every node of its key in the process: ``cut`` maps an offset to the
+    offsets of the two children, the sub-groups a step splits it into, the
+    left child taking the first c blocks and the right one the rest;
+    ``k_v`` and ``k_w`` are the children's bases; ``high`` lists the mixed
+    generators past the first _LOW, and ``low`` the boxes those span, box
+    j's (da, db) being (low[0][j], low[1][j]).  An n = 1 base node's plan is
+    ``free``, whether its one bit runs free, and its ``left`` is None.
+
+    The rest is this cache's memo state: ``left`` and ``right``, the
+    cache's nodes of the plan's two child keys, and the memos.  ``rows[0]``
+    (``rows[1]``) maps a reduced left (right) child offset to the handle of
+    the row of that child's handles at it xor each of ``low[0]``
+    (``low[1]``).  ``shared`` says whether ``_node`` has returned the node
+    more than once; only then does ``sums`` map offsets to the handles of
+    their sums, and until then it stays empty.  Until then the first row
+    its one parent side asks for makes ``cosets``, the coset memo of that
+    side's rows of this node with the node's reduced cut of each of the
+    side's deltas (``_row``).  Base nodes' sums follow the same rule.
     """
 
     __slots__ = (
@@ -173,56 +188,30 @@ class _Node:
         "right",
     )
 
-    def __init__(
-        self, n: int, length: int, basis: tuple[int, ...], blocks: int, cache: CosetCache
-    ):
+    def __init__(self, plan: NodePlan, cache: CosetCache):
         self.shared = False
         self.sums: dict[int, Handle] = {}
         self.cosets: Optional[Cosets] = None
         self.left: Optional[_Node] = None
         self.right: Optional[_Node] = None
-        if blocks > 1:
-            # a group splits into its first c blocks and the rest
-            width = length
-            c, self.cut, plan = _choose(basis, width, blocks)
-        elif n > 1:
-            # the natural split cuts two halves, one block each
-            n, width, blocks, c = n // 2, (length + 1) // 2, 2, 1
-            self.cut = _split
-            plan = _plan([_split(v) for v in _free(basis, length, 2 * width)], width, width)
-            if len(plan[2]) > _QUARTER:
-                # mixed > _QUARTER needs width > _QUARTER, so n >= 16:
-                # quarter blocks are never the n = 1 base case
-                quarter = (width + 1) // 2
-                vectors = [_quarters(v, quarter) for v in _free(basis, length, 4 * quarter)]
-                choice = _choose(vectors, quarter, 4)
-                # only a quarter split that mixes strictly fewer dimensions
-                # than the natural one is taken
-                if len(choice[2][2]) < len(plan[2]):
-                    c, cut, plan = choice
-                    self.cut = lambda x: cut(_quarters(x, quarter))
-                    n, width, blocks = n // 2, quarter, 4
-        else:
-            self.free = bool(_free(basis, length, 1))
+        if type(plan) is bool:
+            self.free = plan
             return
-        self.k_v, self.k_w, mixed = plan
-        # (da, db) of every box spanned by the first _LOW generators, kept
-        # as the two sides' tuples
-        low = [(0, 0)]
-        for da, db in mixed[:_LOW]:
-            low += [(x ^ da, y ^ db) for x, y in low]
-        self.low = tuple(zip(*low))
-        self.high = mixed[_LOW:]
+        self.cut, self.k_v, self.k_w, self.low, self.high, children = plan
         self.rows: tuple[dict[int, RowHandle], ...] = ({}, {})
-        self.left = _node(n, width, self.k_v, cache, c)
-        self.right = _node(n, width, self.k_w, cache, blocks - c)
+        self.left, self.right = [
+            _node(n, width, basis, cache, blocks) for n, width, basis, blocks in children
+        ]
 
 
 class CosetCache:
-    """Bounded memo tables of the coset recursion, which keeps all its state
-    here and none at module level.
+    """Bounded memo tables of the coset recursion.  Its memo state lives
+    here, in each cache: nodes, sums, values, rows, steps and mixes, none
+    shared with another cache.  Only the nodes' plans, which hold no
+    evaluated result, are shared by the whole process (``_PLANS``).
 
-    - ``nodes``: (n, length, basis, blocks) -> the node of those sets;
+    - ``nodes``: (n, length, basis, blocks) -> the node of those sets,
+      which links the process's plan of that key;
     - the sum table (``get``/``put``): each shared node's ``sums``, the
       n = 1 base nodes' included, reduced offset -> handle of the set's
       sum; a node that one parent side alone asks for has none, and
@@ -329,12 +318,18 @@ def _node(
     n: int, length: int, basis: tuple[int, ...], cache: CosetCache, blocks: int = 1
 ) -> _Node:
     """The cache's node of (n, length, basis, blocks), made with its subtree
-    if new."""
+    if new, from the process's stored plan of that key if there is one."""
 
     key = (n, length, basis, blocks)
     node = cache.nodes.get(key)
     if node is None:
-        node = _Node(n, length, basis, blocks, cache)
+        plan = _PLANS.get(key)
+        if plan is None:
+            plan = _node_plan(n, length, basis, blocks)
+            with _PLANS_LOCK:
+                if len(_PLANS) < _MAX_PLANS:
+                    _PLANS[key] = plan
+        node = _Node(plan, cache)
         if len(cache.nodes) < cache.max_entries:
             cache.nodes[key] = node
     elif not node.shared:
@@ -348,6 +343,47 @@ def _node(
                 for j, handle in enumerate(cache.row(row)):
                     cache.put(node, rep ^ low[j ^ k], handle)
     return node
+
+
+def _node_plan(n: int, length: int, basis: tuple[int, ...], blocks: int) -> NodePlan:
+    """The plan of the node of (n, length, basis, blocks).  A one-block node
+    splits its sets with the bits they leave free below the split's width
+    added to the basis (``_free``); the blocks of a group have none free.
+    The cut is ``_split`` for the natural halves, else the cut that
+    ``_choose`` built with the plan of its split, after ``_quarters`` for a
+    one-block node."""
+
+    if blocks > 1:
+        # a group splits into its first c blocks and the rest
+        width = length
+        c, cut, split = _choose(basis, width, blocks)
+    elif n > 1:
+        # the natural split cuts two halves, one block each
+        n, width, blocks, c = n // 2, (length + 1) // 2, 2, 1
+        cut = _split
+        split = _plan([_split(v) for v in _free(basis, length, 2 * width)], width, width)
+        if len(split[2]) > _QUARTER:
+            # mixed > _QUARTER needs width > _QUARTER, so n >= 16:
+            # quarter blocks are never the n = 1 base case
+            quarter = (width + 1) // 2
+            vectors = [_quarters(v, quarter) for v in _free(basis, length, 4 * quarter)]
+            choice = _choose(vectors, quarter, 4)
+            # only a quarter split that mixes strictly fewer dimensions
+            # than the natural one is taken
+            if len(choice[2][2]) < len(split[2]):
+                c, group_cut, split = choice
+                cut = lambda x: group_cut(_quarters(x, quarter))
+                n, width, blocks = n // 2, quarter, 4
+    else:
+        return bool(_free(basis, length, 1))
+    k_v, k_w, mixed = split
+    # (da, db) of every box spanned by the first _LOW generators, kept as
+    # the two sides' tuples
+    low = [(0, 0)]
+    for da, db in mixed[:_LOW]:
+        low += [(x ^ da, y ^ db) for x, y in low]
+    children = (n, width, k_v, c), (n, width, k_w, blocks - c)
+    return cut, k_v, k_w, tuple(zip(*low)), mixed[_LOW:], children
 
 
 def _nibble(byte: int, odd: bool) -> int:
@@ -374,6 +410,17 @@ _LOW = 4
 # more than 2^_QUARTER boxes: below that, the ranks cost more than any
 # better split saves (measured on the code-mix benchmark)
 _QUARTER = 6
+
+# the process's plans, node key -> plan, shared by every cache; a plan
+# holds no node, handle or sum.  The table stops growing at _MAX_PLANS
+# plans (about 1.2 KB each), and a plan it refuses is rebuilt when next
+# needed.  A whole code-mix benchmark run has 150 distinct keys, the
+# (128,64) reduced route 79, and all 129 polar(128,k) codes through
+# ``wef_auto`` 722
+_PLANS: dict[tuple, NodePlan] = {}
+_MAX_PLANS = 1 << 10
+# held while storing a plan, so that threads storing at once keep the cap
+_PLANS_LOCK = threading.Lock()
 
 _XOR16 = _table16(False)
 _ODD16 = _table16(True)

@@ -237,6 +237,13 @@ class TestErrors:
             # "frozen" beside "unfrozen" or "constraints", neither dropped
             '{"m": 2, "frozen": [0], "unfrozen": [0]}',
             '{"m": 2, "frozen": [0], "constraints": [{"target": 1}]}',
+            # index keys beside a construction, which reads none of them
+            '{"construction": "rm", "r": 1, "m": 3, "frozen": [0, 1, 2, 3, 4, 5, 6, 7], '
+            '"unfrozen": [0]}',
+            '{"construction": "bec", "m": 3, "k": 4, "erasure": 0.5, "constraints": []}',
+            # an index listed twice, which the set of indices would drop
+            '{"m": 2, "frozen": [0, 0]}',
+            '{"m": 2, "unfrozen": [3, 3], "constraints": []}',
         ],
     )
     def test_out_of_range_values_rejected(self, capsys, tmp_path, text):

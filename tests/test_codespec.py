@@ -457,6 +457,41 @@ class TestJson:
         with pytest.raises(ValueError, match=f"'frozen' or '{other}', not both"):
             spec_from_json(obj)
 
+    @pytest.mark.parametrize(
+        "obj, key",
+        [
+            (
+                {"construction": "rm", "r": 1, "m": 3, "frozen": list(range(8)), "unfrozen": [0]},
+                "frozen",
+            ),
+            ({"construction": "rm", "r": 1, "m": 3, "unfrozen": [7]}, "unfrozen"),
+            (
+                {"construction": "bec", "m": 3, "k": 4, "erasure": 0.5, "constraints": []},
+                "constraints",
+            ),
+            ({"construction": "pac", "m": 2, "profile": [3], "taps": [1], "frozen": []}, "frozen"),
+            ({"construction": "generator", "matrix": [[1, 1]], "unfrozen": [1]}, "unfrozen"),
+        ],
+    )
+    def test_construction_beside_index_keys_rejected(self, obj, key):
+        # a construction reads none of these keys, so none is dropped
+        with pytest.raises(ValueError, match=f"'construction' or '{key}', not both"):
+            spec_from_json(obj)
+
+    @pytest.mark.parametrize(
+        "obj, key",
+        [
+            ({"m": 2, "frozen": [0, 0]}, "frozen"),
+            ({"m": 2, "unfrozen": [3, 1, 3]}, "unfrozen"),
+            ({"m": 2, "unfrozen": [3, 3], "constraints": []}, "unfrozen"),
+        ],
+    )
+    def test_repeated_index_rejected(self, obj, key):
+        # a repeat would collapse into one index: {"m": 2, "frozen": [0, 0]}
+        # loaded with k = 3
+        with pytest.raises(ValueError, match=f"'{key}' lists an index twice"):
+            spec_from_json(obj)
+
     def test_unknown_construction_rejected(self):
         with pytest.raises(ValueError):
             spec_from_json({"construction": "mystery", "m": 2})

@@ -1,5 +1,7 @@
 import itertools
 import random
+import sys
+import threading
 from functools import partial
 
 import pytest
@@ -1003,3 +1005,95 @@ class TestHashConsing:
             )
         assert wef_direct(PAC32, cache=cache) == first
         assert calls == []
+
+
+def table_sizes(cache):
+    """The size of each of a cache's tables, the side-row count included."""
+
+    tables = (cache.nodes, cache.values, cache.rows, cache.mixes, cache.steps)
+    return len(cache), cache._side_rows, *map(len, tables)
+
+
+class TestPlanTable:
+    """Node plans are built once per process and linked by every cache."""
+
+    @pytest.mark.parametrize("code", ["PAC(32,16) direct", "rm(2,5) lta", "bec(6,50) auto"])
+    def test_same_work_cold_or_warm(self, monkeypatch, code):
+        # a node made from a stored plan is the node its key builds: the
+        # same enumerator, sets evaluated and table sizes in a fresh cache,
+        # and a warm run builds no plan
+        caches = []
+
+        class Recorded(CosetCache):
+            def __init__(self, *args):
+                super().__init__(*args)
+                caches.append(self)
+
+        monkeypatch.setattr(engine, "CosetCache", Recorded)
+        run = {
+            "PAC(32,16) direct": lambda: wef_direct(PAC32, cache=Recorded()),
+            "rm(2,5) lta": lambda: wef_lta(from_rm(2, 5), cache=Recorded()),
+            # (64,50) takes the reduced route on its dual, (64,14)
+            "bec(6,50) auto": lambda: engine.wef_auto(from_bhattacharyya_bec(6, 50, 0.3)),
+        }[code]
+        monkeypatch.setattr(coset, "_PLANS", {})
+        evaluated = count_sets(monkeypatch)
+        results = []
+        for warm in (False, True):
+            if warm:
+                assert coset._PLANS
+                monkeypatch.setattr(coset, "_node_plan", lambda *_: pytest.fail("plan built"))
+            caches.clear()
+            evaluated.clear()
+            value = run()
+            if code.endswith("auto"):
+                value, report = value
+                assert report.route == "dual+lta"
+            results.append((value, len(evaluated), [table_sizes(c) for c in caches]))
+        cold, warm = results
+        assert cold == warm and cold[2]
+
+    def test_full_table_stays_exact_and_bounded(self, hamming16_spec, monkeypatch):
+        # a table at its cap stores no further plan, and a refused plan is
+        # rebuilt each time it is needed
+        monkeypatch.setattr(coset, "_PLANS", {})
+        monkeypatch.setattr(coset, "_MAX_PLANS", 4)
+        built = []
+        make = coset._node_plan
+        monkeypatch.setattr(coset, "_node_plan", lambda *key: built.append(key) or make(*key))
+        for spec, route in [
+            (hamming16_spec, wef_direct),
+            (PAC32, wef_direct),
+            (from_rm(2, 5), wef_lta),
+            (from_bhattacharyya_bec(5, 12, 0.4), wef_lta),
+            (PAC32, wef_direct),
+        ]:
+            assert route(spec) == brute_force_wef(spec)
+            assert len(coset._PLANS) <= 4
+        assert len(coset._PLANS) == 4 and len(built) > len(set(built))
+
+    def test_threads_fill_the_table_within_its_cap(self, monkeypatch):
+        # caches in several threads store plans into the one table at once:
+        # its cap holds and every result stays exact
+        specs = [PAC32, from_rm(2, 5), from_bhattacharyya_bec(5, 12, 0.4), from_rm(1, 4)]
+        expected = [brute_force_wef(spec) for spec in specs]
+        monkeypatch.setattr(coset, "_PLANS", {})
+        monkeypatch.setattr(coset, "_MAX_PLANS", 3)
+        results = []
+
+        def work(order):
+            for i in order * 3:
+                results.append(wef_direct(specs[i], cache=CosetCache()) == expected[i])
+
+        threads = [threading.Thread(target=work, args=([j, *range(len(specs))],)) for j in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [True] * 60 and len(coset._PLANS) == 3
